@@ -40,10 +40,6 @@ BatchedLogicalQubitExperiment::BatchedLogicalQubitExperiment(
     qla_assert(options_.groupWords >= 1
                    && options_.groupWords <= kMaxGroupWords,
                "groupWords must be in [1, ", kMaxGroupWords, "]");
-    qla_assert(options_.simdWidth == 1 || options_.simdWidth == 2
-                   || options_.simdWidth == 4 || options_.simdWidth == 8,
-               "simdWidth must be 1, 2, 4 or 8, got ",
-               options_.simdWidth);
     qla_assert(n_ <= 32, "bit-sliced decode supports block length <= 32");
     qla_assert(code_.xChecks().size() <= 8 && code_.zChecks().size() <= 8,
                "bit-sliced decode supports <= 8 check rows");
@@ -62,7 +58,7 @@ BatchedLogicalQubitExperiment::BatchedLogicalQubitExperiment(
     }
     retry_pool_ = std::make_unique<PrepRetryPool>(
         code_, rows_, max_prep_attempts_, classes_, shadow_of_primary_,
-        options_.faultSampling, options_.firePlanCache);
+        options_.faultSampling);
 }
 
 BatchedLogicalQubitExperiment::~BatchedLogicalQubitExperiment() = default;
@@ -265,8 +261,7 @@ BatchedLogicalQubitExperiment::replaySeg(Seg seg, std::size_t c,
                                  [traceIndex(seg, c, g, role, flag)];
     qla_assert(!t.ops.empty(), "trace not recorded");
     replayTraceGroup(t, frames_, models_.data(), active.w.data(),
-                     active.n, flips_.data(), options_.simdWidth,
-                     options_.faultSampling, options_.firePlanCache);
+                     active.n, flips_.data(), options_.faultSampling);
 }
 
 //

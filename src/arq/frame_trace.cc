@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
-#include <mutex>
-#include <unordered_map>
 
 #include "common/logging.h"
 
@@ -18,342 +15,6 @@ q16(std::size_t q)
 {
     qla_assert(q <= 0xffff, "qubit index exceeds packed trace width");
     return static_cast<std::uint16_t>(q);
-}
-
-/**
- * One step of the replay, flattened to the granularity the effect
- * compiler reasons at: fused FrameOps expand into their gate / site /
- * measure parts in exactly the interpreter's order, ranges expand per
- * qubit. `a`/`b` are local (touched-qubit) indices.
- */
-struct MicroOp
-{
-    enum class K : std::uint8_t { H, S, Cnot, Cz, Swap, Reset, Site, Meas };
-    K k;
-    std::uint16_t a = 0;
-    std::uint16_t b = 0;
-    /** Site/Meas: index into TraceEffects::sites. */
-    std::uint32_t site = 0;
-    /** Meas: measurement target id. */
-    std::uint32_t meas = 0;
-    bool measX = false;
-};
-
-/**
- * Compile the trace's linear-effect model (TraceEffects): a forward
- * pass flattens the op stream, numbers sampler sites in replay order
- * and assigns local indices to touched qubits; a backward influence
- * pass then computes, for each qubit's X and Z components, the set of
- * downstream targets (measurement flips and output-frame coordinates)
- * an injection at the current point toggles. Passing a site records
- * the influence of its injected components; reaching the top records
- * the influence of the input frame itself -- qubits the trace resets
- * before use drop out automatically.
- */
-TraceEffects
-compileTraceEffects(const FrameTrace &trace)
-{
-    TraceEffects fx;
-    fx.classSiteIds.assign(trace.classSites.size(), {});
-
-    std::vector<MicroOp> prog;
-    prog.reserve(trace.ops.size() * 5);
-    std::vector<std::int32_t> localOf;
-    const auto local = [&](std::uint16_t q) {
-        if (localOf.size() <= q)
-            localOf.resize(q + std::size_t{1}, -1);
-        if (localOf[q] < 0) {
-            localOf[q] = static_cast<std::int32_t>(fx.qubitOf.size());
-            fx.qubitOf.push_back(q);
-        }
-        return static_cast<std::uint16_t>(localOf[q]);
-    };
-    std::uint32_t nm = 0;
-    const auto gate1 = [&](MicroOp::K k, std::uint16_t q) {
-        prog.push_back({k, local(q), 0, 0, 0, false});
-    };
-    const auto gate2 = [&](MicroOp::K k, std::uint16_t a, std::uint16_t b) {
-        prog.push_back({k, local(a), local(b), 0, 0, false});
-    };
-    const auto newSite = [&](std::uint8_t cls, std::uint8_t kind) {
-        TraceEffects::Site s;
-        s.cls = cls;
-        s.kind = kind;
-        const auto id = static_cast<std::uint32_t>(fx.sites.size());
-        fx.sites.push_back(s);
-        fx.classSiteIds[cls].push_back(id);
-        return id;
-    };
-    const auto site1 = [&](std::uint8_t cls, std::uint16_t q) {
-        const std::uint32_t id = newSite(cls, TraceEffects::kNoise1);
-        prog.push_back({MicroOp::K::Site, local(q), 0, id, 0, false});
-    };
-    const auto site2 = [&](std::uint8_t cls, std::uint16_t a,
-                           std::uint16_t b) {
-        const std::uint32_t id = newSite(cls, TraceEffects::kNoise2);
-        prog.push_back({MicroOp::K::Site, local(a), local(b), id, 0,
-                        false});
-    };
-    const auto meas = [&](std::uint8_t cls, std::uint16_t q, bool mx) {
-        const std::uint32_t id = newSite(cls, TraceEffects::kReadout);
-        fx.sites[id].meas = static_cast<std::uint16_t>(nm);
-        prog.push_back({MicroOp::K::Meas, local(q), 0, id, nm, mx});
-        ++nm;
-    };
-
-    for (const FrameOp &op : trace.ops) {
-        switch (op.kind) {
-          case FrameOp::Kind::H:
-            gate1(MicroOp::K::H, op.a);
-            break;
-          case FrameOp::Kind::NoisyH:
-            gate1(MicroOp::K::H, op.a);
-            site1(op.cls, op.a);
-            break;
-          case FrameOp::Kind::S:
-            gate1(MicroOp::K::S, op.a);
-            break;
-          case FrameOp::Kind::Cnot:
-            gate2(MicroOp::K::Cnot, op.a, op.b);
-            break;
-          case FrameOp::Kind::Cz:
-            gate2(MicroOp::K::Cz, op.a, op.b);
-            break;
-          case FrameOp::Kind::Swap:
-            gate2(MicroOp::K::Swap, op.a, op.b);
-            break;
-          case FrameOp::Kind::Reset:
-            gate1(MicroOp::K::Reset, op.a);
-            break;
-          case FrameOp::Kind::Noise1:
-            site1(op.cls, op.a);
-            break;
-          case FrameOp::Kind::Noise2:
-            site2(op.cls, op.a, op.b);
-            break;
-          case FrameOp::Kind::NoisyCnotMT:
-          case FrameOp::Kind::NoisyCnotMTMeasZ:
-          case FrameOp::Kind::NoisyCnotMTMeasX:
-            site1(op.cls, op.b);
-            gate2(MicroOp::K::Cnot, op.a, op.b);
-            site2(op.cls2, op.a, op.b);
-            site1(op.cls, op.b);
-            if (op.kind == FrameOp::Kind::NoisyCnotMTMeasZ)
-                meas(op.cls3, op.b, false);
-            else if (op.kind == FrameOp::Kind::NoisyCnotMTMeasX)
-                meas(op.cls3, op.b, true);
-            break;
-          case FrameOp::Kind::NoisyCnotMC:
-          case FrameOp::Kind::NoisyCnotMCMeasZ:
-          case FrameOp::Kind::NoisyCnotMCMeasX:
-            site1(op.cls, op.a);
-            gate2(MicroOp::K::Cnot, op.a, op.b);
-            site2(op.cls2, op.b, op.a);
-            site1(op.cls, op.a);
-            if (op.kind == FrameOp::Kind::NoisyCnotMCMeasZ)
-                meas(op.cls3, op.a, false);
-            else if (op.kind == FrameOp::Kind::NoisyCnotMCMeasX)
-                meas(op.cls3, op.a, true);
-            break;
-          case FrameOp::Kind::ResetRange:
-            for (std::uint32_t i = 0; i < op.b; ++i)
-                gate1(MicroOp::K::Reset,
-                      static_cast<std::uint16_t>(op.a + i));
-            break;
-          case FrameOp::Kind::Noise1Range:
-            for (std::uint32_t i = 0; i < op.b; ++i)
-                site1(op.cls, static_cast<std::uint16_t>(op.a + i));
-            break;
-          case FrameOp::Kind::MeasureZRange:
-            for (std::uint32_t i = 0; i < op.b; ++i)
-                meas(op.cls, static_cast<std::uint16_t>(op.a + i), false);
-            break;
-          case FrameOp::Kind::MeasureXRange:
-            for (std::uint32_t i = 0; i < op.b; ++i)
-                meas(op.cls, static_cast<std::uint16_t>(op.a + i), true);
-            break;
-          case FrameOp::Kind::MeasureZ:
-            meas(op.cls, op.a, false);
-            break;
-          case FrameOp::Kind::MeasureX:
-            meas(op.cls, op.a, true);
-            break;
-        }
-    }
-    qla_assert(nm == trace.numMeasurements,
-               "effect compiler saw ", nm, " measurements, trace has ",
-               trace.numMeasurements);
-    for (std::size_t c = 0; c < trace.classSites.size(); ++c)
-        qla_assert(fx.classSiteIds[c].size() == trace.classSites[c],
-                   "effect compiler site count drifted for class ", c);
-
-    const auto nt = static_cast<std::uint32_t>(fx.qubitOf.size());
-    fx.numMeas = nm;
-    fx.numTargets = nm + 2 * nt;
-    qla_assert(fx.numTargets <= 0xffff, "trace too wide to compile");
-
-    // Backward influence pass. Row 2l is the X component of touched
-    // qubit l, row 2l + 1 its Z component; each row is a bitset over
-    // target ids. Initialized to the identity (a component injected at
-    // the very end lands on its own output coordinate).
-    const std::size_t ew = (fx.numTargets + std::size_t{63}) / 64;
-    std::vector<std::uint64_t> infl(2 * std::size_t{nt} * ew, 0);
-    const auto row = [&](std::size_t coord) {
-        return infl.data() + coord * ew;
-    };
-    const auto setBit = [&](std::uint64_t *r, std::uint32_t t) {
-        r[t >> 6] |= std::uint64_t{1} << (t & 63);
-    };
-    const auto xorRow = [&](std::uint64_t *d, const std::uint64_t *s) {
-        for (std::size_t i = 0; i < ew; ++i)
-            d[i] ^= s[i];
-    };
-    const auto swapRow = [&](std::uint64_t *a, std::uint64_t *b) {
-        for (std::size_t i = 0; i < ew; ++i)
-            std::swap(a[i], b[i]);
-    };
-    const auto clearRow = [&](std::uint64_t *r) {
-        std::fill_n(r, ew, 0);
-    };
-    const auto makeRec = [&](const std::uint64_t *r) {
-        TraceEffects::Rec rec;
-        rec.off = static_cast<std::uint32_t>(fx.pool.size());
-        for (std::size_t w = 0; w < ew; ++w)
-            for (std::uint64_t bits = r[w]; bits; bits &= bits - 1)
-                fx.pool.push_back(static_cast<std::uint16_t>(
-                    w * 64 + std::countr_zero(bits)));
-        rec.len = static_cast<std::uint16_t>(fx.pool.size() - rec.off);
-        return rec;
-    };
-    for (std::uint32_t l = 0; l < nt; ++l) {
-        setBit(row(2 * std::size_t{l}), nm + 2 * l);
-        setBit(row(2 * std::size_t{l} + 1), nm + 2 * l + 1);
-    }
-    for (auto it = prog.rbegin(); it != prog.rend(); ++it) {
-        const MicroOp &mo = *it;
-        std::uint64_t *xa = row(2 * std::size_t{mo.a});
-        std::uint64_t *za = row(2 * std::size_t{mo.a} + 1);
-        switch (mo.k) {
-          case MicroOp::K::H:
-            // X before H acts as Z after it, and vice versa.
-            swapRow(xa, za);
-            break;
-          case MicroOp::K::S:
-            // S X S^ = Y = X Z (phases are invisible to the frame).
-            xorRow(xa, za);
-            break;
-          case MicroOp::K::Cnot:
-            // X_a -> X_a X_b, Z_b -> Z_a Z_b.
-            xorRow(xa, row(2 * std::size_t{mo.b}));
-            xorRow(row(2 * std::size_t{mo.b} + 1), za);
-            break;
-          case MicroOp::K::Cz:
-            // X_a -> X_a Z_b, X_b -> X_b Z_a.
-            xorRow(xa, row(2 * std::size_t{mo.b} + 1));
-            xorRow(row(2 * std::size_t{mo.b}), za);
-            break;
-          case MicroOp::K::Swap:
-            swapRow(xa, row(2 * std::size_t{mo.b}));
-            swapRow(za, row(2 * std::size_t{mo.b} + 1));
-            break;
-          case MicroOp::K::Reset:
-            // Anything injected before a reset dies there.
-            clearRow(xa);
-            clearRow(za);
-            break;
-          case MicroOp::K::Meas:
-            // The readout records the measured component and clears the
-            // qubit's frame, so an injection before it reaches exactly
-            // the one flip word (or nothing, for the other component).
-            clearRow(xa);
-            clearRow(za);
-            setBit(mo.measX ? za : xa, mo.meas);
-            break;
-          case MicroOp::K::Site: {
-            TraceEffects::Site &s = fx.sites[mo.site];
-            s.xa = makeRec(xa);
-            s.za = makeRec(za);
-            if (s.kind == TraceEffects::kNoise2) {
-                s.xb = makeRec(row(2 * std::size_t{mo.b}));
-                s.zb = makeRec(row(2 * std::size_t{mo.b} + 1));
-            }
-            break;
-          }
-        }
-    }
-    // What survives to the top is the input frame's own influence.
-    for (std::uint32_t l = 0; l < nt; ++l) {
-        const std::uint64_t *rx = row(2 * std::size_t{l});
-        const std::uint64_t *rz = row(2 * std::size_t{l} + 1);
-        bool any = false;
-        for (std::size_t i = 0; i < ew; ++i)
-            any = any || rx[i] || rz[i];
-        if (!any)
-            continue;
-        TraceEffects::Input in;
-        in.q = fx.qubitOf[l];
-        in.x = makeRec(rx);
-        in.z = makeRec(rz);
-        fx.inputs.push_back(in);
-    }
-    std::uint64_t total_len = 0;
-    for (const TraceEffects::Site &s : fx.sites)
-        total_len += s.xa.len + s.za.len + s.xb.len + s.zb.len;
-    fx.avgSiteCost = fx.sites.empty()
-                         ? 1
-                         : static_cast<std::uint32_t>(
-                               total_len / fx.sites.size() + 1);
-    return fx;
-}
-
-/**
- * Process-wide registry of compiled effect models, keyed by the op
- * stream (plus the class-table size, which fixes classSiteIds' shape).
- * Sweeps reconstruct the same experiment shape once per error rate and
- * worker; the traces they record are byte-identical, so compilation
- * happens once per distinct shape for the process lifetime. Entries are
- * never evicted -- distinct shapes are few (one per code/layout pair).
- */
-std::shared_ptr<const TraceEffects>
-sharedTraceEffects(const FrameTrace &trace)
-{
-    struct Slot
-    {
-        std::vector<FrameOp> ops;
-        std::size_t classes;
-        std::shared_ptr<const TraceEffects> fx;
-    };
-    static std::mutex mu;
-    static std::unordered_map<std::uint64_t, std::vector<Slot>> registry;
-
-    // FNV-1a over the raw op bytes: FrameOp is 8 packed bytes with no
-    // padding (static_assert'd), so the bytes are exactly the fields.
-    std::uint64_t h = 14695981039346656037ull;
-    const auto mix = [&h](const void *p, std::size_t n) {
-        const unsigned char *b = static_cast<const unsigned char *>(p);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= b[i];
-            h *= 1099511628211ull;
-        }
-    };
-    mix(trace.ops.data(), trace.ops.size() * sizeof(FrameOp));
-    const std::uint64_t classes = trace.classSites.size();
-    mix(&classes, sizeof classes);
-
-    std::lock_guard<std::mutex> lock(mu);
-    std::vector<Slot> &slots = registry[h];
-    for (const Slot &s : slots) {
-        if (s.classes == trace.classSites.size()
-            && s.ops.size() == trace.ops.size()
-            && std::memcmp(s.ops.data(), trace.ops.data(),
-                           trace.ops.size() * sizeof(FrameOp))
-                   == 0)
-            return s.fx;
-    }
-    auto fx = std::make_shared<const TraceEffects>(
-        compileTraceEffects(trace));
-    slots.push_back({trace.ops, trace.classSites.size(), fx});
-    return fx;
 }
 
 } // namespace
@@ -584,8 +245,6 @@ finalizeTraceClassSites(FrameTrace &trace, const NoiseClassTable &classes)
         entry.degenerateFires = probs[c] >= 1.0 ? ~std::uint64_t{0} : 0;
         trace.walkPlan.push_back(entry);
     }
-
-    trace.effects = sharedTraceEffects(trace);
 }
 
 BatchedNoiseModel::BatchedNoiseModel(const NoiseClassTable &classes)
@@ -708,7 +367,6 @@ void
 packWalkedPlan(ClassDrawPlan &plan, std::uint32_t sites,
                std::int64_t scatters)
 {
-    plan.scatters = static_cast<std::uint32_t>(scatters);
     if (scatters == 0) {
         plan.dense = false;
         plan.nextFireOrd = ClassDrawPlan::kNoFire;
@@ -725,342 +383,51 @@ packWalkedPlan(ClassDrawPlan &plan, std::uint32_t sites,
 
 /**
  * Walk every active lane's clock over the whole trace, one walk per
- * non-degenerate class with sites, and leave the sorted fire schedules
- * in model.plans. This is the TraceDraws fast path's core saving: a
- * no-fire (class, lane) pair costs one counter update for the entire
- * trace instead of one calendar bump per site.
+ * non-degenerate class the trace samples (its walkPlan skeleton), and
+ * leave the sorted fire schedules in model.plans. This is the
+ * TraceDraws fast path's core saving: a no-fire (class, lane) pair
+ * costs one counter update for the entire trace instead of one
+ * calendar bump per site. Plans of classes outside the skeleton are
+ * stale but unreachable -- the replay switch never fires a class
+ * without sites.
  */
 void
 planTraceDraws(const FrameTrace &trace, BatchedNoiseModel &model,
-               std::uint64_t active, bool fire_plan_cache)
+               std::uint64_t active)
 {
     qla_assert(trace.classSites.size() == model.draws.size(),
                "trace not finalized against this class table");
-    if (fire_plan_cache) {
-        // Skeleton path: only the classes this trace samples are
-        // touched (plans of absent classes are stale but unreachable --
-        // the replay switch never fires a class without sites). The
-        // walks and draws are identical to the legacy sweep below, so
-        // results are byte-identical either way.
-        for (const TraceClassWalk &entry : trace.walkPlan) {
-            ClassDrawPlan &plan = model.plans[entry.cls];
-            plan.ordinal = 0;
-            if (entry.degenerate) {
-                // Degenerate probabilities consume no stream (like
-                // Rng::bernoulli); replay still advances the ordinal.
-                plan.degenerate = true;
-                plan.dense = false;
-                plan.degenerate_fires = entry.degenerateFires;
-                plan.nextFireOrd
-                    = entry.degenerateFires ? 0 : ClassDrawPlan::kNoFire;
-                continue;
-            }
-            plan.degenerate = false;
-            if (plan.fires.size() < entry.sites)
-                plan.fires.resize(entry.sites); // value-init to zero
-            const std::int64_t scatters = model.draws[entry.cls].walkWord(
-                active, entry.sites, model.lanes, plan.fires.data());
-            packWalkedPlan(plan, entry.sites, scatters);
-        }
-        return;
-    }
-    for (std::size_t c = 0; c < model.draws.size(); ++c) {
-        ClassDrawPlan &plan = model.plans[c];
+    for (const TraceClassWalk &entry : trace.walkPlan) {
+        ClassDrawPlan &plan = model.plans[entry.cls];
         plan.ordinal = 0;
-        const std::int64_t sites = trace.classSites[c];
-        ClassDrawSampler &draw = model.draws[c];
-        if (!sites || draw.neverFires() || draw.alwaysFires()) {
-            // Replay still advances the ordinal site by site; degenerate
-            // probabilities consume no stream (like Rng::bernoulli).
+        if (entry.degenerate) {
+            // Degenerate probabilities consume no stream (like
+            // Rng::bernoulli); replay still advances the ordinal.
             plan.degenerate = true;
             plan.dense = false;
-            plan.degenerate_fires
-                = sites && draw.alwaysFires() ? ~std::uint64_t{0} : 0;
+            plan.degenerate_fires = entry.degenerateFires;
             plan.nextFireOrd
-                = plan.degenerate_fires ? 0 : ClassDrawPlan::kNoFire;
+                = entry.degenerateFires ? 0 : ClassDrawPlan::kNoFire;
             continue;
         }
         plan.degenerate = false;
-        if (plan.fires.size() < static_cast<std::size_t>(sites))
-            plan.fires.resize(sites); // new entries value-init to zero
-        const std::int64_t scatters
-            = draw.walkWord(active, sites, model.lanes, plan.fires.data());
-        packWalkedPlan(plan, static_cast<std::uint32_t>(sites), scatters);
+        if (plan.fires.size() < entry.sites)
+            plan.fires.resize(entry.sites); // value-init to zero
+        const std::int64_t scatters = model.draws[entry.cls].walkWord(
+            active, entry.sites, model.lanes, plan.fires.data());
+        packWalkedPlan(plan, entry.sites, scatters);
     }
 }
 
 /** Every plan must be exactly consumed by the replay it was built for. */
 void
-verifyTracePlans(const FrameTrace &trace, const BatchedNoiseModel &model,
-                 bool fire_plan_cache)
+verifyTracePlans(const FrameTrace &trace, const BatchedNoiseModel &model)
 {
-    if (fire_plan_cache) {
-        // Only the skeleton's classes were planned; the others hold
-        // stale ordinals from earlier traces and were never fired.
-        for (const TraceClassWalk &entry : trace.walkPlan) {
-            qla_assert(model.plans[entry.cls].ordinal == entry.sites,
-                       "replay visited ", model.plans[entry.cls].ordinal,
-                       " sites of class ", entry.cls,
-                       ", trace declares ", entry.sites);
-        }
-        return;
-    }
-    for (std::size_t c = 0; c < model.plans.size(); ++c) {
-        qla_assert(model.plans[c].ordinal == trace.classSites[c],
-                   "replay visited ", model.plans[c].ordinal,
-                   " sites of class ", c, ", trace declares ",
-                   trace.classSites[c]);
-    }
-    (void)trace;
-    (void)model;
-}
-
-/**
- * True when every plan the trace's walk just produced on this word is
- * sparse. The compiled replay then merges the per-class event lists and
- * skips unfired sites entirely; dense and always-fires plans take its
- * ordinal-scan loop instead, which still prices a miss at one compare.
- */
-bool
-plansAreSparse(const FrameTrace &trace, const BatchedNoiseModel &model)
-{
-    for (const TraceClassWalk &e : trace.walkPlan) {
-        if (e.degenerate) {
-            if (e.degenerateFires)
-                return false;
-            continue;
-        }
-        if (model.plans[e.cls].dense)
-            return false;
-    }
-    return true;
-}
-
-/**
- * Cost model choosing this word's replay engine after planning: the
- * compiled effect replay prices each fired event at the trace's mean
- * effect-list length and each live input coordinate at its list length,
- * while the op interpreter prices every op at ~4 word operations (W
- * words share one pass, so a wider tile amortizes them) plus a per-site
- * fire() probe. Far above threshold the fired volume makes the
- * interpreter cheaper; sparse masks and below-threshold words make the
- * compiled replay cheaper by an order of magnitude. Either engine
- * consumes the same plans and draws, so the choice never changes
- * results -- only which loop produces them.
- */
-bool
-compiledIsCheaper(const FrameTrace &trace, const BatchedNoiseModel &model,
-                  const std::uint64_t *x, const std::uint64_t *z,
-                  std::size_t stride, std::uint64_t m, std::size_t tile_w)
-{
-    const TraceEffects &fx = *trace.effects;
-    std::uint64_t events = 0;
-    for (const TraceClassWalk &e : trace.walkPlan) {
-        if (e.degenerate) {
-            if (e.degenerateFires)
-                events += e.sites;
-            continue;
-        }
-        const ClassDrawPlan &plan = model.plans[e.cls];
-        if (plan.nextFireOrd != ClassDrawPlan::kNoFire)
-            events += plan.scatters;
-    }
-    std::uint64_t compiled = events * fx.avgSiteCost + fx.sites.size();
-    const std::uint64_t interp
-        = trace.ops.size() * 4 / tile_w + fx.sites.size();
-    if (compiled >= interp)
-        return false;
-    for (const TraceEffects::Input &in : fx.inputs) {
-        if (x[in.q * stride] & m)
-            compiled += in.x.len;
-        if (z[in.q * stride] & m)
-            compiled += in.z.len;
-        if (compiled >= interp)
-            return false;
-    }
-    return true;
-}
-
-/**
- * Replay one word of @p trace through its compiled linear-effect model
- * instead of the op interpreter: accumulate, per target (measurement
- * flip or output-frame coordinate), the XOR of the input-frame words
- * and fired-site Pauli words whose effect lists name it. Cost scales
- * with the nonzero content (active input coordinates and fired events)
- * rather than the trace length, which is what makes narrow retry masks
- * and below-threshold words cheap. Draw-for-draw identical to the
- * interpreter: gap draws happened in planTraceDraws, and the fired
- * sites are visited in trace order, so drawPauli consumes each lane's
- * stream exactly as the tile would.
- *
- * When every plan came out sparse the fired events are produced by a
- * k-way merge of the per-class event lists, skipping unfired sites
- * entirely. Otherwise -- the far-above-threshold regime with dense or
- * always-fires plans -- a single pass over the site table reads each
- * site's fired word from its class plan directly (draining the dense
- * walk scratch back to zero as the fire() path would).
- */
-void
-replayCompiled(const FrameTrace &trace, std::uint64_t *x, std::uint64_t *z,
-               std::size_t stride, BatchedNoiseModel &model,
-               std::uint64_t m, std::vector<std::uint64_t> &flips)
-{
-    const TraceEffects &fx = *trace.effects;
-    thread_local std::vector<std::uint64_t> acc_storage;
-    if (acc_storage.size() < fx.numTargets)
-        acc_storage.resize(fx.numTargets);
-    std::uint64_t *acc = acc_storage.data();
-    std::fill_n(acc, fx.numTargets, 0);
-    const std::uint16_t *pool = fx.pool.data();
-    const auto apply = [&](TraceEffects::Rec r, std::uint64_t w) {
-        for (std::uint16_t i = 0; i < r.len; ++i)
-            acc[pool[r.off + i]] ^= w;
-    };
-    for (const TraceEffects::Input &in : fx.inputs) {
-        if (const std::uint64_t wx = x[in.q * stride] & m)
-            apply(in.x, wx);
-        if (const std::uint64_t wz = z[in.q * stride] & m)
-            apply(in.z, wz);
-    }
-    const auto applyFired = [&](const TraceEffects::Site &site,
-                                std::uint64_t fired) {
-        if (site.kind == TraceEffects::kReadout) {
-            acc[site.meas] ^= fired;
-        } else if (site.kind == TraceEffects::kNoise1) {
-            const auto d = quantum::drawPauli1(fired, model.lanes);
-            apply(site.xa, d.fx);
-            apply(site.za, d.fz);
-        } else {
-            const auto d = quantum::drawPauli2(fired, model.lanes);
-            apply(site.xa, d.fxa);
-            apply(site.za, d.fza);
-            apply(site.xb, d.fxb);
-            apply(site.zb, d.fzb);
-        }
-    };
-    if (plansAreSparse(trace, model)) {
-        // Fired events of all classes, merged back into trace order so
-        // the drawPauli stream consumption matches the interpreter.
-        struct Cur
-        {
-            const ClassDrawPlan *plan;
-            const std::uint32_t *ids;
-            std::uint32_t i, n;
-        };
-        std::array<Cur, 64> cur;
-        std::size_t k = 0;
-        for (const TraceClassWalk &e : trace.walkPlan) {
-            if (e.degenerate)
-                continue;
-            const ClassDrawPlan &plan = model.plans[e.cls];
-            // Pristine post-planning state: kNoFire here means no
-            // events were drained for this replay (eventOrd may hold
-            // stale ones).
-            if (plan.nextFireOrd == ClassDrawPlan::kNoFire)
-                continue;
-            qla_assert(k < cur.size(), "trace samples too many classes");
-            cur[k++] = {&plan, fx.classSiteIds[e.cls].data(), 0,
-                        static_cast<std::uint32_t>(plan.eventOrd.size())};
-        }
-        while (k) {
-            std::size_t best = 0;
-            std::uint32_t bestSite
-                = cur[0].ids[cur[0].plan->eventOrd[cur[0].i]];
-            for (std::size_t j = 1; j < k; ++j) {
-                const std::uint32_t s
-                    = cur[j].ids[cur[j].plan->eventOrd[cur[j].i]];
-                if (s < bestSite) {
-                    best = j;
-                    bestSite = s;
-                }
-            }
-            applyFired(fx.sites[bestSite],
-                       cur[best].plan->eventMask[cur[best].i]);
-            if (++cur[best].i == cur[best].n)
-                cur[best] = cur[--k];
-        }
-    } else {
-        // Dense / always-fires plans: scan the site table in trace
-        // order, reading each site's fired word straight from its
-        // class plan. A sparse class's misses cost one compare against
-        // its next scheduled ordinal; dense scratch words are zeroed
-        // back as they are consumed, exactly like the fire() path.
-        enum : std::uint8_t { kNever, kSparse, kDense, kAlways };
-        struct ClsState
-        {
-            ClassDrawPlan *plan = nullptr;
-            std::uint32_t ord = 0;
-            std::uint32_t next = 0;
-            std::uint32_t nextOrd = ClassDrawPlan::kNoFire;
-            std::uint32_t n = 0;
-            std::uint64_t always = 0;
-            std::uint8_t mode = kNever;
-        };
-        thread_local std::vector<ClsState> state_storage;
-        if (state_storage.size() < model.plans.size())
-            state_storage.resize(model.plans.size());
-        ClsState *state = state_storage.data();
-        for (const TraceClassWalk &e : trace.walkPlan) {
-            ClsState &st = state[e.cls];
-            st = ClsState{};
-            if (e.degenerate) {
-                if (e.degenerateFires) {
-                    st.mode = kAlways;
-                    st.always = e.degenerateFires & m;
-                }
-                continue;
-            }
-            ClassDrawPlan &plan = model.plans[e.cls];
-            if (plan.nextFireOrd == ClassDrawPlan::kNoFire)
-                continue;
-            st.plan = &plan;
-            if (plan.dense) {
-                st.mode = kDense;
-            } else {
-                st.mode = kSparse;
-                st.nextOrd = plan.eventOrd[0];
-                st.n = static_cast<std::uint32_t>(plan.eventOrd.size());
-            }
-        }
-        const std::uint32_t numSites
-            = static_cast<std::uint32_t>(fx.sites.size());
-        for (std::uint32_t s = 0; s < numSites; ++s) {
-            const TraceEffects::Site &site = fx.sites[s];
-            ClsState &st = state[site.cls];
-            const std::uint32_t ord = st.ord++;
-            std::uint64_t fired = 0;
-            switch (st.mode) {
-              case kNever:
-                continue;
-              case kSparse:
-                if (ord != st.nextOrd)
-                    continue;
-                fired = st.plan->eventMask[st.next];
-                ++st.next;
-                st.nextOrd = st.next < st.n ? st.plan->eventOrd[st.next]
-                                            : ClassDrawPlan::kNoFire;
-                break;
-              case kDense:
-                fired = st.plan->fires[ord];
-                st.plan->fires[ord] = 0;
-                break;
-              case kAlways:
-                fired = st.always;
-                break;
-            }
-            if (fired)
-                applyFired(site, fired);
-        }
-    }
-    const std::size_t base = flips.size();
-    flips.resize(base + fx.numMeas);
-    std::copy_n(acc, fx.numMeas, flips.data() + base);
-    const std::uint64_t keep = ~m;
-    for (std::size_t l = 0; l < fx.qubitOf.size(); ++l) {
-        std::uint64_t &xq = x[fx.qubitOf[l] * stride];
-        std::uint64_t &zq = z[fx.qubitOf[l] * stride];
-        xq = (xq & keep) | acc[fx.numMeas + 2 * l];
-        zq = (zq & keep) | acc[fx.numMeas + 2 * l + 1];
+    for (const TraceClassWalk &entry : trace.walkPlan) {
+        qla_assert(model.plans[entry.cls].ordinal == entry.sites,
+                   "replay visited ", model.plans[entry.cls].ordinal,
+                   " sites of class ", entry.cls, ", trace declares ",
+                   entry.sites);
     }
 }
 
@@ -1259,13 +626,38 @@ replayTraceTile(const FrameTrace &trace, std::uint64_t *x,
     }
 }
 
+/** Widest SIMD plane the group replay carves, in 64-bit words. */
+constexpr std::size_t kTileWords = 4;
+
+/** Run one planned or site-sampled tile of width 4, 2 or 1. */
+template <class Policy>
+void
+replayTile(std::size_t tile, const FrameTrace &trace, std::uint64_t *x,
+           std::uint64_t *z, std::size_t stride, BatchedNoiseModel *models,
+           const std::uint64_t *masks, std::vector<std::uint64_t> *flips)
+{
+    switch (tile) {
+      case 4:
+        replayTraceTile<4, Policy>(trace, x, z, stride, models, masks,
+                                   flips);
+        break;
+      case 2:
+        replayTraceTile<2, Policy>(trace, x, z, stride, models, masks,
+                                   flips);
+        break;
+      default:
+        replayTraceTile<1, Policy>(trace, x, z, stride, models, masks,
+                                   flips);
+        break;
+    }
+}
+
 } // namespace
 
 void
 replayTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
             BatchedNoiseModel &noise, std::uint64_t active,
-            std::vector<std::uint64_t> &flips, FaultSampling sampling,
-            bool fire_plan_cache)
+            std::vector<std::uint64_t> &flips, FaultSampling sampling)
 {
     // The single-word replay is the W = 1, compile-time-stride-1 tile;
     // an inactive word consumes no randomness under either policy, so
@@ -1273,18 +665,11 @@ replayTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
     // flip words).
     flips.reserve(flips.size() + trace.numMeasurements);
     if (sampling == FaultSampling::TraceDraws && active) {
-        planTraceDraws(trace, noise, active, fire_plan_cache);
-        if (fire_plan_cache && trace.effects
-            && compiledIsCheaper(trace, noise, frame.xData(),
-                                 frame.zData(), 1, active, 1)) {
-            replayCompiled(trace, frame.xData(), frame.zData(), 1, noise,
-                           active, flips);
-            return;
-        }
+        planTraceDraws(trace, noise, active);
         replayTraceTile<1, PlannedSampling, 1>(trace, frame.xData(),
                                                frame.zData(), 1, &noise,
                                                &active, &flips);
-        verifyTracePlans(trace, noise, fire_plan_cache);
+        verifyTracePlans(trace, noise);
         return;
     }
     replayTraceTile<1, SiteSampling, 1>(trace, frame.xData(),
@@ -1297,12 +682,8 @@ replayTraceGroup(const FrameTrace &trace,
                  quantum::GroupPauliFrames &frames,
                  BatchedNoiseModel *models, const std::uint64_t *masks,
                  std::size_t num_words, std::vector<std::uint64_t> *flips,
-                 std::size_t simd_width, FaultSampling sampling,
-                 bool fire_plan_cache)
+                 FaultSampling sampling)
 {
-    qla_assert(simd_width == 1 || simd_width == 2 || simd_width == 4
-                   || simd_width == 8,
-               "simdWidth must be 1, 2, 4 or 8, got ", simd_width);
     // The group's rows must be packed (or over-provisioned) for this
     // batch: reset(num_words) is the batch prologue that guarantees it.
     qla_assert(num_words <= frames.stride());
@@ -1323,17 +704,10 @@ replayTraceGroup(const FrameTrace &trace,
         if (!masks[0])
             return;
         if (sampling == FaultSampling::TraceDraws) {
-            planTraceDraws(trace, models[0], masks[0], fire_plan_cache);
-            if (fire_plan_cache && trace.effects
-                && compiledIsCheaper(trace, models[0], x, z, 1, masks[0],
-                                     1)) {
-                replayCompiled(trace, x, z, 1, models[0], masks[0],
-                               flips[0]);
-                return;
-            }
+            planTraceDraws(trace, models[0], masks[0]);
             replayTraceTile<1, PlannedSampling, 1>(trace, x, z, 1, models,
                                                    masks, flips);
-            verifyTracePlans(trace, models[0], fire_plan_cache);
+            verifyTracePlans(trace, models[0]);
         } else {
             replayTraceTile<1, SiteSampling, 1>(trace, x, z, 1, models,
                                                 masks, flips);
@@ -1344,7 +718,7 @@ replayTraceGroup(const FrameTrace &trace,
     std::size_t w0 = 0;
     while (w0 < num_words) {
         const std::size_t tile
-            = std::min(simd_width, std::bit_floor(num_words - w0));
+            = std::min(kTileWords, std::bit_floor(num_words - w0));
         std::uint64_t any = 0;
         for (std::size_t i = 0; i < tile; ++i)
             any |= masks[w0 + i];
@@ -1353,71 +727,17 @@ replayTraceGroup(const FrameTrace &trace,
             continue;
         }
         if (sampling == FaultSampling::TraceDraws) {
-            bool compiled = fire_plan_cache && trace.effects != nullptr;
-            for (std::size_t i = 0; i < tile; ++i)
-                if (masks[w0 + i]) {
-                    planTraceDraws(trace, models[w0 + i], masks[w0 + i],
-                                   fire_plan_cache);
-                    compiled = compiled
-                               && compiledIsCheaper(
-                                   trace, models[w0 + i], x + w0 + i,
-                                   z + w0 + i, stride, masks[w0 + i],
-                                   tile);
-                }
-            // When every word of the tile prices cheaper through the
-            // compiled effect model, replay word by word through it;
-            // inactive words still append their zero flip words to
-            // stay index-aligned. Mixed tiles and the cache-off mode
-            // keep the interpreter for the whole tile (the plans serve
-            // either consumer).
-            if (compiled) {
-                for (std::size_t i = 0; i < tile; ++i) {
-                    if (!masks[w0 + i]) {
-                        flips[w0 + i].resize(flips[w0 + i].size()
-                                             + trace.numMeasurements);
-                        continue;
-                    }
-                    replayCompiled(trace, x + w0 + i, z + w0 + i, stride,
-                                   models[w0 + i], masks[w0 + i],
-                                   flips[w0 + i]);
-                }
-                w0 += tile;
-                continue;
-            }
-        }
-        const auto run = [&](auto policy) {
-            using P = decltype(policy);
-            switch (tile) {
-              case 8:
-                replayTraceTile<8, P>(trace, x + w0, z + w0, stride,
-                                      models + w0, masks + w0,
-                                      flips + w0);
-                break;
-              case 4:
-                replayTraceTile<4, P>(trace, x + w0, z + w0, stride,
-                                      models + w0, masks + w0,
-                                      flips + w0);
-                break;
-              case 2:
-                replayTraceTile<2, P>(trace, x + w0, z + w0, stride,
-                                      models + w0, masks + w0,
-                                      flips + w0);
-                break;
-              default:
-                replayTraceTile<1, P>(trace, x + w0, z + w0, stride,
-                                      models + w0, masks + w0,
-                                      flips + w0);
-                break;
-            }
-        };
-        if (sampling == FaultSampling::TraceDraws) {
-            run(PlannedSampling{});
             for (std::size_t i = 0; i < tile; ++i)
                 if (masks[w0 + i])
-                    verifyTracePlans(trace, models[w0 + i],
-                                     fire_plan_cache);
+                    planTraceDraws(trace, models[w0 + i], masks[w0 + i]);
+            replayTile<PlannedSampling>(tile, trace, x + w0, z + w0, stride,
+                                        models + w0, masks + w0, flips + w0);
+            for (std::size_t i = 0; i < tile; ++i)
+                if (masks[w0 + i])
+                    verifyTracePlans(trace, models[w0 + i]);
         } else {
-            run(SiteSampling{});
+            replayTile<SiteSampling>(tile, trace, x + w0, z + w0, stride,
+                                     models + w0, masks + w0, flips + w0);
         }
         w0 += tile;
     }

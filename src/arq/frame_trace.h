@@ -22,7 +22,6 @@
 #define QLA_ARQ_FRAME_TRACE_H
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/batched_sampler.h"
@@ -120,67 +119,6 @@ struct TraceClassWalk
     std::uint32_t sites;
 };
 
-/**
- * Compiled linear-effect model of a trace (filled by
- * finalizeTraceClassSites). A trace has no data-dependent control flow,
- * so over GF(2) its replay is a linear map: every measurement flip and
- * every output-frame bit is the XOR of (a) input-frame bits and (b) the
- * Pauli components injected at fired noise sites. This precomputes, per
- * input coordinate and per site component, the list of downstream
- * targets it toggles -- which lets a replay whose fire plan came out
- * sparse apply just the nonzero terms instead of interpreting the whole
- * op stream. Pure function of the trace; shared by every word/replay.
- *
- * Target ids: measurement j (trace order) is target j; touched qubit
- * local index l maps to targets numMeas + 2l (x) and numMeas + 2l + 1
- * (z).
- */
-struct TraceEffects
-{
-    enum SiteKind : std::uint8_t { kNoise1 = 0, kNoise2 = 1, kReadout = 2 };
-
-    /** One target list inside the shared pool. */
-    struct Rec
-    {
-        std::uint32_t off = 0;
-        std::uint16_t len = 0;
-    };
-
-    /** One sampler call of the replay, in trace order. */
-    struct Site
-    {
-        std::uint8_t cls = 0;
-        std::uint8_t kind = kNoise1;
-        /** kReadout: the measurement target the fired word toggles. */
-        std::uint16_t meas = 0;
-        /** Effect lists of the injected components: Noise1 uses xa/za
-         *  (the X and Z components on the site's qubit); Noise2 adds
-         *  xb/zb for the second operand, in drawPauli2 order. */
-        Rec xa, za, xb, zb;
-    };
-
-    /** Input-frame coordinates with a nonzero downstream effect. */
-    struct Input
-    {
-        std::uint16_t q = 0;
-        Rec x, z;
-    };
-
-    std::uint32_t numMeas = 0;
-    std::uint32_t numTargets = 0;
-    /** Touched qubits: local index -> frame qubit. The replay rewrites
-     *  exactly these coordinates for active lanes. */
-    std::vector<std::uint16_t> qubitOf;
-    std::vector<std::uint16_t> pool;
-    std::vector<Site> sites;
-    /** Per class: site ids in ordinal (= trace) order. */
-    std::vector<std::vector<std::uint32_t>> classSiteIds;
-    std::vector<Input> inputs;
-    /** Mean total effect-list length per site, rounded up (>= 1): the
-     *  replay cost model's price of applying one fired event. */
-    std::uint32_t avgSiteCost = 1;
-};
-
 /** A straight-line segment of the tile schedule. */
 struct FrameTrace
 {
@@ -200,22 +138,12 @@ struct FrameTrace
     /**
      * Fire-plan skeleton: the classes with sites in this trace, in
      * class-id order, pre-classified against the class table (filled by
-     * finalizeTraceClassSites alongside classSites). With the fire-plan
-     * cache on, per-word planning iterates these few entries and only
-     * draws gaps; the legacy path re-derives the same classification
-     * over the whole class table -- shadow retry classes included --
-     * for every word of every replay.
+     * finalizeTraceClassSites alongside classSites). Per-word planning
+     * iterates these few entries and only draws gaps, instead of
+     * re-deriving the classification over the whole class table --
+     * shadow retry classes included -- for every word of every replay.
      */
     std::vector<TraceClassWalk> walkPlan;
-
-    /**
-     * Compiled linear-effect model (see TraceEffects), shared through a
-     * process-wide registry: the model is a pure function of the op
-     * stream, so structurally identical traces -- every reconstruction
-     * of the same experiment shape, swept error rates included -- point
-     * at one compiled instance instead of recompiling per experiment.
-     */
-    std::shared_ptr<const TraceEffects> effects;
 };
 
 /**
@@ -331,9 +259,6 @@ struct ClassDrawPlan
     bool degenerate = false;
     /** Fired lanes at every site when degenerate (~0 for p >= 1). */
     std::uint64_t degenerate_fires = 0;
-    /** Scatter count of the walk that produced this plan: an upper
-     *  bound on the fired-site count, kept for the replay cost model. */
-    std::uint32_t scatters = 0;
 };
 
 /** Per-class samplers plus per-lane streams for one 64-shot word. */
@@ -393,40 +318,35 @@ struct BatchedNoiseModel
  * buffer between replays). Takes the concrete engine so every gate and
  * readout compiles to direct word operations -- replay is the Monte
  * Carlo's innermost loop. @p sampling selects how fault sites turn into
- * fired lanes (TraceDraws requires trace.classSites to be finalized).
- * @p fire_plan_cache selects whether TraceDraws planning reuses the
- * trace's finalized skeleton (walkPlan) or re-derives it from the full
- * class table per replay; both produce byte-identical results -- the
- * legacy path exists as the reference for the cache's A/B gate.
+ * fired lanes (TraceDraws requires trace.classSites and trace.walkPlan
+ * to be finalized).
  */
 void replayTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
                  BatchedNoiseModel &noise, std::uint64_t active,
                  std::vector<std::uint64_t> &flips,
-                 FaultSampling sampling = FaultSampling::SiteGeometric,
-                 bool fire_plan_cache = true);
+                 FaultSampling sampling = FaultSampling::SiteGeometric);
 
 /**
  * Replay @p trace on all @p num_words words of a shot group at once,
- * tiled into SIMD planes of up to @p simd_width words (1, 2, 4 or 8;
- * power-of-two tiles are carved greedily from the active range, so any
- * group width works with any plane width). Word w replays under mask
- * masks[w] with models[w]; its flip words are cleared and then appended
- * to flips[w] in op order. Words whose mask is zero inside an active
+ * tiled into SIMD planes of up to four words (256-bit frame arithmetic
+ * where the compiler can vectorize; tiles of 4, 2 and 1 words are
+ * carved greedily from the range, so any group width works). Word w
+ * replays under mask masks[w] with models[w]; its flip words are
+ * cleared and then appended to flips[w] in op order. Words whose mask is zero inside an active
  * tile get zero flip words (length stays aligned); all-inactive tiles
  * are skipped entirely and their flip buffers only cleared.
  *
  * Each word's lane randomness is consumed exactly as a lone
  * replayTrace of that word would consume it, so results are
- * bit-identical for every simd_width -- the planes only restructure the
- * frame arithmetic.
+ * bit-identical for every group width and tile carving -- the planes
+ * only restructure the frame arithmetic.
  */
 void replayTraceGroup(const FrameTrace &trace,
                       quantum::GroupPauliFrames &frames,
                       BatchedNoiseModel *models,
                       const std::uint64_t *masks, std::size_t num_words,
                       std::vector<std::uint64_t> *flips,
-                      std::size_t simd_width, FaultSampling sampling,
-                      bool fire_plan_cache = true);
+                      FaultSampling sampling);
 
 } // namespace qla::arq
 

@@ -235,16 +235,13 @@ class PrepRetryPool
      * @param shadow_of_primary Parent shadow class of each primary id.
      * @param sampling          The parent's fault-sampling granularity
      *                          (pooled replays must draw the same way).
-     * @param fire_plan_cache   The parent's fire-plan cache setting
-     *                          (applied to the pool's own replays).
      */
     PrepRetryPool(const ecc::CssCode &code, const TileRowRecorder &recorder,
                   int max_prep_attempts,
                   const NoiseClassTable &parent_classes,
                   const std::vector<std::uint8_t> &shadow_of_primary,
                   FaultSampling sampling
-                  = FaultSampling::SiteGeometric,
-                  bool fire_plan_cache = true);
+                  = FaultSampling::SiteGeometric);
 
     /**
      * Run the remaining verified-preparation attempts (the first one
@@ -363,8 +360,6 @@ class PrepRetryPool
     SegmentPool mig_;
     /** Parent's fault-sampling granularity, used for pooled replays. */
     FaultSampling sampling_ = FaultSampling::SiteGeometric;
-    /** Parent's fire-plan cache setting, used for pooled replays. */
-    bool fire_plan_cache_ = true;
 };
 
 } // namespace qla::arq

@@ -225,6 +225,16 @@ SweepJobSpec::parse(const std::string &text, SweepJobSpec &spec,
             if (!parseList(rest, spec.threshold.physicalErrors,
                            parseDoubleToken))
                 return fail("bad errors list");
+            // Reject out-of-domain rates here: past the parser they
+            // reach engine assertions that abort a serving daemon.
+            for (const double p : spec.threshold.physicalErrors) {
+                if (!(p >= 0.0 && p <= 1.0)) {
+                    char value[32];
+                    std::snprintf(value, sizeof(value), "%.17g", p);
+                    return fail(std::string("bad errors list: ") + value
+                                + " is not a probability in [0, 1]");
+                }
+            }
         } else if (key == "shots") {
             if (!one_u64(spec.threshold.shots))
                 return fail("bad shots");

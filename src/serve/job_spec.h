@@ -16,8 +16,8 @@
  * key on it so repeated queries replay instead of re-record, and shard
  * merges verify every shard served the same job. Everything that can
  * change a result byte is part of the canonical text; execution knobs
- * that the determinism contract proves result-neutral (worker count,
- * SIMD width) are deliberately not.
+ * that the determinism contract proves result-neutral (the worker
+ * count) are deliberately not.
  */
 
 #ifndef QLA_SERVE_JOB_SPEC_H

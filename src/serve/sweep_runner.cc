@@ -7,6 +7,7 @@
 #include <mutex>
 
 #include "arq/monte_carlo.h"
+#include "common/logging.h"
 #include "network/cosim.h"
 #include "sim/shot_scheduler.h"
 
@@ -15,9 +16,8 @@ namespace qla::serve {
 ExperimentCache &
 SweepCaches::workerCache(std::size_t worker)
 {
-    while (perWorkerExperiments.size() <= worker)
-        perWorkerExperiments.push_back(
-            std::make_unique<ExperimentCache>());
+    qla_assert(worker < perWorkerExperiments.size(),
+               "no experiment cache for worker ", worker);
     return *perWorkerExperiments[worker];
 }
 
@@ -371,6 +371,12 @@ runSweepJob(const SweepJobSpec &spec, const RunnerOptions &options,
     };
 
     sim::ShotScheduler scheduler(options.workers);
+    // Size the per-worker caches before any worker runs: growing the
+    // vector while workers look up their slots would race.
+    while (caches.perWorkerExperiments.size()
+           < static_cast<std::size_t>(scheduler.threadCount()))
+        caches.perWorkerExperiments.push_back(
+            std::make_unique<ExperimentCache>());
     scheduler.run(pending.size(), [&](std::size_t job, int worker) {
         {
             std::lock_guard<std::mutex> lock(state.mutex);
@@ -390,6 +396,8 @@ runSweepJob(const SweepJobSpec &spec, const RunnerOptions &options,
                 &partial.stats);
 
             std::lock_guard<std::mutex> lock(state.mutex);
+            if (state.killed)
+                return; // in flight at the kill: resume recomputes it
             state.threshold.emplace(partial.chunk, partial);
             ++state.computed;
             task_rates[chunk.task].merge(partial.failures);
@@ -418,6 +426,8 @@ runSweepJob(const SweepJobSpec &spec, const RunnerOptions &options,
                                         // and computed partials equal.
 
         std::lock_guard<std::mutex> lock(state.mutex);
+        if (state.killed)
+            return;
         state.cosim.emplace(partial.chunk, partial);
         ++state.computed;
         std::string line;

@@ -47,6 +47,9 @@ struct SweepCaches
     std::vector<std::unique_ptr<ExperimentCache>> perWorkerExperiments;
     WorkloadCache workloads;
 
+    /** Worker slot @p worker's cache. The runner sizes
+     *  perWorkerExperiments before its scheduler starts, so workers
+     *  only ever read the vector. */
     ExperimentCache &workerCache(std::size_t worker);
     /** Summed record/replay tallies across workers + workload cache. */
     CacheCounters counters() const;
@@ -68,8 +71,10 @@ struct RunnerOptions
     /** Rewrite the checkpoint after every N newly computed chunks. */
     std::size_t checkpointEveryChunks = 1;
     /** Injected kill for the resume-equivalence gate: stop after this
-     *  many newly computed chunks (0 = run to completion). The final
-     *  checkpoint is still written; the outcome reports incomplete. */
+     *  many newly computed chunks (0 = run to completion). Chunks
+     *  still in flight at the kill are discarded, so exactly this many
+     *  are recorded. The final checkpoint is still written; the
+     *  outcome reports incomplete. */
     std::size_t killAfterChunks = 0;
     /** Streaming progress: one line per completed chunk with the
      *  chunk's task identity and the merged-so-far Wilson interval

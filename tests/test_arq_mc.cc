@@ -265,12 +265,13 @@ TEST(BatchedMonteCarlo, ShotsIndependentOfBatchGrouping)
     }
 }
 
-TEST(BatchedMonteCarlo, GroupingCompactionAndWidthBitIdentical)
+TEST(BatchedMonteCarlo, GroupingAndCompactionBitIdentical)
 {
-    // The shot-group width, lane compaction (including the dense twin
-    // used for "Start Over" rounds and repeated level-2 extractions)
-    // and the SIMD tile width are pure execution-shape choices: every
-    // lane's draw sequence is preserved exactly, so failure counts must
+    // The shot-group width (which also fixes how the replay carves
+    // 4-, 2- and 1-word SIMD tiles) and lane compaction (including the
+    // dense twin used for "Start Over" rounds and repeated level-2
+    // extractions) are pure execution-shape choices: every lane's draw
+    // sequence is preserved exactly, so failure counts must
     // be bit-identical across all settings -- separately within each
     // fault-sampling mode (the one axis that changes which trials the
     // stream is spent on). Swept far above threshold so the compacted
@@ -284,11 +285,11 @@ TEST(BatchedMonteCarlo, GroupingCompactionAndWidthBitIdentical)
                 std::uint64_t reference = 0;
                 bool have_reference = false;
                 for (const BatchOptions options :
-                     {BatchOptions{1, false, kFill, 1, sampling},
-                      BatchOptions{16, false, kFill, 2, sampling},
-                      BatchOptions{4, true, kFill, 4, sampling},
-                      BatchOptions{16, true, kFill, 8, sampling},
-                      BatchOptions{32, true, kFill, 4, sampling}}) {
+                     {BatchOptions{1, false, kFill, sampling},
+                      BatchOptions{16, false, kFill, sampling},
+                      BatchOptions{4, true, kFill, sampling},
+                      BatchOptions{7, true, kFill, sampling},
+                      BatchOptions{32, true, kFill, sampling}}) {
                     BatchedLogicalQubitExperiment experiment(
                         ecc::steaneCode(), NoiseParameters::swept(p), {},
                         16, options);
@@ -302,8 +303,7 @@ TEST(BatchedMonteCarlo, GroupingCompactionAndWidthBitIdentical)
                         EXPECT_EQ(rate.successes(), reference)
                             << "p=" << p << " level=" << level
                             << " group=" << options.groupWords
-                            << " compaction=" << options.laneCompaction
-                            << " width=" << options.simdWidth;
+                            << " compaction=" << options.laneCompaction;
                     }
                 }
             }

@@ -532,12 +532,14 @@ TEST(ClassDrawSampler, ExportImportEdgeCases)
     EXPECT_FALSE(ClassDrawSampler(0.5).alwaysFires());
 }
 
-TEST(GroupReplay, SimdWidthsBitIdenticalLaneByLane)
+TEST(GroupReplay, TileCarvingBitIdenticalLaneByLane)
 {
-    // The tentpole contract of the SIMD shot planes: replaying a shot
-    // group through 2-, 4- or 8-word tiles must leave every lane of
-    // every word -- frame bits and flip words -- exactly as the one-word
-    // replay does, in both fault-sampling modes.
+    // The contract of the SIMD shot planes: the group replay carves 4-,
+    // 2- and 1-word tiles greedily from the group, and every carving
+    // must leave every lane of every word -- frame bits and flip words
+    // -- exactly as the one-word replay does, in both fault-sampling
+    // modes. Group widths 1..9 cover every tile width, every remainder
+    // after the 4-word tiles, and the one-word fast path.
     using namespace qla::arq;
     const std::size_t n = 6;
     NoiseClassTable classes;
@@ -556,10 +558,10 @@ TEST(GroupReplay, SimdWidthsBitIdenticalLaneByLane)
     FrameTrace trace = builder.take();
     finalizeTraceClassSites(trace, classes);
 
-    const std::size_t words = 8;
+    const std::size_t max_words = 9;
     RngFamily family(2026);
     Rng mask_rng(55);
-    std::vector<std::uint64_t> masks(words);
+    std::vector<std::uint64_t> masks(max_words);
     for (auto &m : masks)
         m = mask_rng.next64() | mask_rng.next64();
     masks[3] = 0; // a fully inactive word inside the group
@@ -567,17 +569,17 @@ TEST(GroupReplay, SimdWidthsBitIdenticalLaneByLane)
     for (const FaultSampling sampling :
          {FaultSampling::SiteGeometric, FaultSampling::TraceDraws}) {
         // Reference: each word alone through the single-word replay.
-        std::vector<BatchedPauliFrame> ref_frames(words,
+        std::vector<BatchedPauliFrame> ref_frames(max_words,
                                                   BatchedPauliFrame(n));
-        std::vector<std::vector<std::uint64_t>> ref_flips(words);
-        for (std::size_t w = 0; w < words; ++w) {
+        std::vector<std::vector<std::uint64_t>> ref_flips(max_words);
+        for (std::size_t w = 0; w < max_words; ++w) {
             BatchedNoiseModel model(classes);
             model.rearm(family, w * kBatchLanes);
             replayTrace(trace, ref_frames[w], model, masks[w],
                         ref_flips[w], sampling);
         }
 
-        for (const std::size_t width : {1, 2, 4, 8}) {
+        for (std::size_t words = 1; words <= max_words; ++words) {
             GroupPauliFrames frames(n, words);
             std::vector<BatchedNoiseModel> models;
             for (std::size_t w = 0; w < words; ++w) {
@@ -586,18 +588,18 @@ TEST(GroupReplay, SimdWidthsBitIdenticalLaneByLane)
             }
             std::vector<std::vector<std::uint64_t>> flips(words);
             replayTraceGroup(trace, frames, models.data(), masks.data(),
-                             words, flips.data(), width, sampling);
+                             words, flips.data(), sampling);
             for (std::size_t w = 0; w < words; ++w) {
                 if (!masks[w])
                     continue; // inactive words only get cleared flips
                 ASSERT_EQ(flips[w], ref_flips[w])
-                    << "width " << width << " word " << w;
+                    << "group " << words << " word " << w;
                 for (std::size_t q = 0; q < n; ++q) {
                     ASSERT_EQ(frames.xWord(w, q), ref_frames[w].xWord(q))
-                        << "width " << width << " word " << w << " q "
+                        << "group " << words << " word " << w << " q "
                         << q;
                     ASSERT_EQ(frames.zWord(w, q), ref_frames[w].zWord(q))
-                        << "width " << width << " word " << w << " q "
+                        << "group " << words << " word " << w << " q "
                         << q;
                 }
             }

@@ -111,6 +111,23 @@ TEST(SweepJobSpec, RejectsMalformedRequests)
         "kind threshold\nerrors 1e-3\nbogus-key 1\n", spec, error));
     EXPECT_FALSE(SweepJobSpec::parse(
         "kind cosim\nworkload qcla 0\n", spec, error));
+    // Physical error rates must be probabilities: out-of-domain values
+    // are rejected by the parser, never handed to the engine.
+    for (const char *errors :
+         {"nan", "-nan", "inf", "-inf", "-1e-3", "1.5", "1e-3 nan"}) {
+        error.clear();
+        EXPECT_FALSE(SweepJobSpec::parse(
+            std::string("kind threshold\nerrors ") + errors + "\n", spec,
+            error))
+            << errors;
+        EXPECT_NE(error.find("not a probability in [0, 1]"),
+                  std::string::npos)
+            << errors << ": " << error;
+    }
+    // The closed interval's end points are valid rates.
+    EXPECT_TRUE(SweepJobSpec::parse("kind threshold\nerrors 0 1\n", spec,
+                                    error))
+        << error;
     // Comments and blank lines are fine.
     EXPECT_TRUE(SweepJobSpec::parse(
         "# request\n\nkind threshold\nerrors 1e-3 2e-3\n", spec, error))

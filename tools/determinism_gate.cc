@@ -10,15 +10,13 @@
  *       for every thread count (the determinism contract).
  *
  *   determinism_gate --mode spot --engine batched
- *       [--group G] [--compaction on|off] [--fill F] [--width W]
- *       [--sampling site|trace] [--fire-plan-cache on|off]
- *       [--threads N] [--shots S]
+ *       [--group G] [--compaction on|off] [--fill F]
+ *       [--sampling site|trace] [--threads N] [--shots S]
  *       Single-point L1+L2 failure counts on the batched engine;
- *       identical output is required for every group width, for
- *       compaction on vs off, for every segment-migration fill
- *       threshold F, for every SIMD tile width W (1/2/4/8 words), and
- *       for the fire-plan cache on vs off (cached skeleton + compiled
- *       replay vs the legacy planning sweep + interpreter).
+ *       identical output is required for every group width G (which
+ *       also fixes how the replay carves 4-, 2- and 1-word SIMD
+ *       tiles), for compaction on vs off, and for every
+ *       segment-migration fill threshold F.
  *       --sampling picks the fault-sampling granularity; it is the one
  *       axis that changes the realized fault pattern (per-site vs
  *       trace-level batched draws), so runs are byte-comparable only
@@ -94,17 +92,14 @@ runSweep(int threads, std::size_t shots)
 
 int
 runSpotBatched(std::size_t group, bool compaction, double fill,
-               std::size_t width, FaultSampling sampling,
-               bool fire_plan_cache, int threads, std::size_t shots)
+               FaultSampling sampling, int threads, std::size_t shots)
 {
     McRunOptions options;
     options.threads = threads;
     options.batch.groupWords = group;
     options.batch.laneCompaction = compaction;
     options.batch.migrationFillThreshold = fill;
-    options.batch.simdWidth = width;
     options.batch.faultSampling = sampling;
-    options.batch.firePlanCache = fire_plan_cache;
     for (const int level : {1, 2}) {
         ExperimentStats stats;
         const auto rate = runLogicalExperiment(
@@ -314,11 +309,8 @@ printHelp()
         "  --compaction C     spot/batched: lane compaction on | off\n"
         "  --fill F           spot/batched: segment-migration fill "
         "threshold\n"
-        "  --width W          spot/batched: SIMD tile width in words\n"
         "  --sampling S       spot/batched: site | trace fault "
         "sampling\n"
-        "  --fire-plan-cache C  spot/batched: fire-plan cache on | "
-        "off\n"
         "  --fault-rate F     interconnect: uniform link-fault rate "
         "axis\n"
         "  --purification L   interconnect: purification-level axis\n"
@@ -346,9 +338,7 @@ main(int argc, char **argv)
     std::size_t group = BatchOptions{}.groupWords;
     bool compaction = true;
     double fill = BatchOptions{}.migrationFillThreshold;
-    std::size_t width = BatchOptions{}.simdWidth;
     FaultSampling sampling = BatchOptions{}.faultSampling;
-    bool fire_plan_cache = BatchOptions{}.firePlanCache;
     double fault_rate = 0.0;
     int purification = 0;
     double link_fidelity = 1.0;
@@ -379,14 +369,10 @@ main(int argc, char **argv)
             compaction = std::strcmp(next(), "off") != 0;
         else if (arg == "--fill")
             fill = std::atof(next());
-        else if (arg == "--width")
-            width = std::strtoull(next(), nullptr, 10);
         else if (arg == "--sampling")
             sampling = std::strcmp(next(), "site") == 0
                 ? FaultSampling::SiteGeometric
                 : FaultSampling::TraceDraws;
-        else if (arg == "--fire-plan-cache")
-            fire_plan_cache = std::strcmp(next(), "off") != 0;
         else if (arg == "--fault-rate")
             fault_rate = std::atof(next());
         else if (arg == "--purification")
@@ -412,8 +398,8 @@ main(int argc, char **argv)
     if (mode == "spot")
         return engine == "scalar"
             ? runSpotScalar(shots)
-            : runSpotBatched(group, compaction, fill, width, sampling,
-                             fire_plan_cache, threads, shots);
+            : runSpotBatched(group, compaction, fill, sampling, threads,
+                             shots);
     if (mode == "crosscheck")
         return runCrosscheck(shots);
     if (mode == "interconnect")
