@@ -20,10 +20,7 @@
  *     word-wide retry amplification costs the batched engine part of
  *     its lead.
  *   - BM_ThresholdSweepBatchedTail: the far-above-threshold tail alone
- *     (4e-3 .. 8e-3) on the current defaults, and
- *     BM_ThresholdSweepBatchedTailSite with per-site geometric sampling
- *     on 16-word groups -- their ratio is the tail recovery of the
- *     trace-level batched fault draws.
+ *     (4e-3 .. 8e-3) on the current defaults.
  *
  * `--json <path>` records the google-benchmark JSON report
  * (BENCH_mc_throughput.json snapshots).
@@ -191,22 +188,6 @@ BM_ThresholdSweepBatchedTail(benchmark::State &state)
                             * kSweepShots);
 }
 BENCHMARK(BM_ThresholdSweepBatchedTail);
-
-/** Tail-only fixture with per-site geometric draws on 16-word groups,
- *  so the trace-draw recovery on the tail is one in-record ratio. */
-void
-BM_ThresholdSweepBatchedTailSite(benchmark::State &state)
-{
-    McRunOptions options = singleThreadOptions();
-    options.batch.groupWords = 16;
-    options.batch.faultSampling = FaultSampling::SiteGeometric;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            thresholdSweep(kTailSweep, kSweepShots, 20050938, options));
-    state.SetItemsProcessed(state.iterations() * kTailSweep.size() * 2
-                            * kSweepShots);
-}
-BENCHMARK(BM_ThresholdSweepBatchedTailSite);
 
 /** The PR-2 execution shape (single word, no compaction): the delta to
  *  BM_ThresholdSweepBatchedFull is the lane-compaction recovery on the

@@ -57,8 +57,7 @@ BatchedLogicalQubitExperiment::BatchedLogicalQubitExperiment(
         flips_[w].reserve(n_ * n_);
     }
     retry_pool_ = std::make_unique<PrepRetryPool>(
-        code_, rows_, max_prep_attempts_, classes_, shadow_of_primary_,
-        options_.faultSampling);
+        code_, rows_, max_prep_attempts_, classes_, shadow_of_primary_);
 }
 
 BatchedLogicalQubitExperiment::~BatchedLogicalQubitExperiment() = default;
@@ -156,14 +155,20 @@ BatchedLogicalQubitExperiment::recordAllTraces()
     }
 
     // A shadow class space over the same probabilities: retry /
-    // conditional-path replays get samplers of their own and never park
-    // and unpark the full-width samplers' lane clocks.
+    // conditional-path replays get clocks of their own, separate from
+    // the full-width schedule's.
     const std::size_t primary_classes = classes_.probabilities().size();
     shadow_of_primary_.resize(primary_classes);
     for (std::size_t k = 0; k < primary_classes; ++k)
         shadow_of_primary_[k]
             = classes_.newClass(classes_.probabilities()[k]);
-    cls_corr_ = shadow_of_primary_[classes_.classOf(noise_.gate1Error)];
+    // Corrections are rare, data-dependent one-site draws outside any
+    // trace: they get a dedicated clock, registered after the shadow
+    // classes so the pool's primary-class probability lookup never
+    // sees it.
+    cls_corr_ = classes_.newClass(noise_.gate1Error);
+    twin_classes_ = shadow_of_primary_;
+    twin_classes_.push_back(cls_corr_);
     traces_[1].resize(traces_[0].size());
     for (std::size_t t = 0; t < traces_[0].size(); ++t) {
         FrameTrace twin = traces_[0][t];
@@ -199,10 +204,10 @@ BatchedLogicalQubitExperiment::recordAllTraces()
         traces_[1][t] = std::move(twin);
     }
 
-    // Per-class site counts and fire-plan skeletons power
-    // FaultSampling::TraceDraws; finalize after the shadow classes so
-    // every class id is covered. Unrecorded slots of the sparse trace
-    // index space finalize to all-zero counts and empty skeletons.
+    // Per-class site counts and fire-plan skeletons drive replay;
+    // finalize after the shadow and correction classes so every class
+    // id is covered. Unrecorded slots of the sparse trace index space
+    // finalize to all-zero counts and empty skeletons.
     for (auto &variant : traces_)
         for (FrameTrace &t : variant)
             finalizeTraceClassSites(t, classes_);
@@ -261,7 +266,7 @@ BatchedLogicalQubitExperiment::replaySeg(Seg seg, std::size_t c,
                                  [traceIndex(seg, c, g, role, flag)];
     qla_assert(!t.ops.empty(), "trace not recorded");
     replayTraceGroup(t, frames_, models_.data(), active.w.data(),
-                     active.n, flips_.data(), options_.faultSampling);
+                     active.n, flips_.data());
 }
 
 //
@@ -426,14 +431,13 @@ BatchedLogicalQubitExperiment::applyCorrection(std::size_t c,
             const std::size_t q = ion(c, g, role, i);
             // Fold the Pauli correction into the frame; the physical
             // gate can itself fault, on exactly the lanes that applied
-            // it. Corrections are rare and data-dependent, so they stay
-            // on the per-site shadow sampler in both sampling modes.
+            // it (a one-site walk of the correction clock).
             if (detect_x)
                 frames_.injectX(w, q, lanes);
             else
                 frames_.injectZ(w, q, lanes);
             quantum::depolarize1(frames_, w, q,
-                                 models_[w].samplers[cls_corr_],
+                                 models_[w].draws[cls_corr_],
                                  models_[w].lanes, lanes);
         }
     }
@@ -671,7 +675,7 @@ BatchedLogicalQubitExperiment::ecCycleL2(const LaneSet &active,
                     else
                         frames_.injectZ(w, q, lanes);
                     quantum::depolarize1(frames_, w, q,
-                                         models_[w].samplers[cls_corr_],
+                                         models_[w].draws[cls_corr_],
                                          models_[w].lanes, lanes);
                 }
             }
@@ -710,7 +714,7 @@ BatchedLogicalQubitExperiment::twin()
         // The twin records the identical schedule from the identical
         // noise table, so class ids coincide and sampler clocks
         // transplant index-for-index.
-        qla_assert(twin_->shadow_of_primary_ == shadow_of_primary_);
+        qla_assert(twin_->twin_classes_ == twin_classes_);
     }
     return *twin_;
 }
@@ -726,12 +730,13 @@ BatchedLogicalQubitExperiment::twinPool()
 SamplerClassMap
 BatchedLogicalQubitExperiment::twinClassMap() const
 {
-    // The subtree replays shadow sites only, so the lanes'
-    // primary-class clocks stay home untouched: only the shadow
-    // classes migrate, index-for-index (identity map -- the twin
-    // records the identical schedule from the identical noise table).
-    return {shadow_of_primary_.data(), shadow_of_primary_.data(),
-            shadow_of_primary_.size()};
+    // The subtree replays shadow sites and applies corrections, so the
+    // lanes' primary-class clocks stay home untouched: only the shadow
+    // and correction classes migrate, index-for-index (identity map --
+    // the twin records the identical schedule from the identical noise
+    // table).
+    return {twin_classes_.data(), twin_classes_.data(),
+            twin_classes_.size()};
 }
 
 void

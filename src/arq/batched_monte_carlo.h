@@ -17,7 +17,7 @@
  * frame and noise model. Running words side by side is what enables
  * lane compaction: when the surviving lanes of a verified-preparation
  * retry drop below a fill threshold across the group, they are
- * regrouped -- rng streams and sampler clocks carried along -- into
+ * regrouped -- rng streams and noise clocks carried along -- into
  * fresh dense words (arq/lane_compaction.h) instead of replaying every
  * nearly-empty word.
  *
@@ -173,10 +173,10 @@ class BatchedLogicalQubitExperiment
      * Replay a recorded segment on every active word of the group. The
      * straight-line schedule uses the primary noise classes; retry /
      * conditional subtrees (tracked by shadow_) use the shadow-class
-     * variant of the same trace so the full-width samplers keep their
-     * fast path (see NoiseClassTable::newClass). Words with an empty
-     * mask are skipped entirely -- their samplers never see the
-     * segment's sites, exactly as when the group is run word by word.
+     * variant of the same trace (see NoiseClassTable::newClass). Words
+     * with an empty mask are skipped entirely -- their clocks never see
+     * the segment's sites, exactly as when the group is run word by
+     * word.
      */
     void replaySeg(Seg seg, std::size_t c, std::size_t g,
                    std::size_t role, bool flag, const LaneSet &active);
@@ -235,8 +235,8 @@ class BatchedLogicalQubitExperiment
     // over the whole subtree (thousands of ops). The twin is the same
     // experiment type, so its traces, class ids and nested prep pool
     // are identical; migration transplants each lane's rng stream and
-    // shadow-sampler clocks, keeping results bit-identical with the
-    // in-place replay.
+    // shadow and correction clocks, keeping results bit-identical with
+    // the in-place replay.
     //
 
     /** One attempt round of the level-2 verified ancilla preparation;
@@ -249,12 +249,12 @@ class BatchedLogicalQubitExperiment
     BatchedLogicalQubitExperiment &twin();
     /**
      * The twin's migration engine (shared SegmentPool, identity class
-     * map over the shadow classes: the twin records the identical
-     * schedule from the identical noise table, so class ids coincide
-     * and clocks transplant index-for-index).
+     * map over the shadow and correction classes: the twin records the
+     * identical schedule from the identical noise table, so class ids
+     * coincide and clocks transplant index-for-index).
      */
     SegmentPool &twinPool();
-    /** Class map of a twin migration (shadow classes, identity). */
+    /** Class map of a twin migration (twin_classes_, identity). */
     SamplerClassMap twinClassMap() const;
     void compactL2PrepRetries(std::size_t c, bool plus,
                               const LaneSet &mask, int first_attempt,
@@ -298,9 +298,12 @@ class BatchedLogicalQubitExperiment
     // Trace variants: [0] full-width primary classes, [1] shadow-class
     // twins for narrowed-mask replays; see recordAllTraces.
     std::array<std::vector<FrameTrace>, 2> traces_;
-    std::uint8_t cls_corr_ = 0; // shadow gate1 class for corrections
+    std::uint8_t cls_corr_ = 0; // dedicated gate1 class for corrections
     /** Shadow class of each primary class (index = primary id). */
     std::vector<std::uint8_t> shadow_of_primary_;
+    /** Classes a twin migration carries: the shadow classes plus
+     *  cls_corr_ (the twin applies corrections). */
+    std::vector<std::uint8_t> twin_classes_;
     /**
      * True while replaying a retry / conditional subtree. Decides the
      * trace variant structurally -- a lane's sampler assignment at a

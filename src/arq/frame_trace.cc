@@ -230,7 +230,7 @@ finalizeTraceClassSites(FrameTrace &trace, const NoiseClassTable &classes)
 
     // Fire-plan skeleton: record once, per trace, which classes the
     // replay samples and whether their probability is degenerate --
-    // the part of per-word TraceDraws planning that does not depend on
+    // the part of per-word planning that does not depend on
     // lane clocks. Degeneracy is a property of the class table, which
     // is append-only, so the classification cannot go stale.
     trace.walkPlan.clear();
@@ -250,12 +250,9 @@ finalizeTraceClassSites(FrameTrace &trace, const NoiseClassTable &classes)
 BatchedNoiseModel::BatchedNoiseModel(const NoiseClassTable &classes)
 {
     const auto &probs = classes.probabilities();
-    samplers.reserve(probs.size());
     draws.reserve(probs.size());
-    for (double p : probs) {
-        samplers.emplace_back(p);
+    for (double p : probs)
         draws.emplace_back(p);
-    }
     plans.resize(probs.size());
 }
 
@@ -264,68 +261,54 @@ BatchedNoiseModel::rearm(const RngFamily &family, std::uint64_t first_shot)
 {
     for (std::size_t l = 0; l < kBatchLanes; ++l)
         lanes[l] = family.stream(first_shot + l);
-    for (auto &sampler : samplers)
-        sampler.disarm();
     for (auto &draw : draws)
         draw.disarm();
 }
 
 namespace {
 
-/** Per-site fires from the per-class geometric calendars. */
-struct SiteSampling
+/** Scheduled-ordinal hit: pop the fired word. Outlined so the inlined
+ *  miss path of plannedFire stays a compare and an increment. */
+[[gnu::noinline]] std::uint64_t
+popPlannedFire(ClassDrawPlan &plan, std::uint32_t ord, std::uint64_t active)
 {
-    static std::uint64_t fire(BatchedNoiseModel &model, std::uint8_t cls,
-                              std::uint64_t active)
-    {
-        return model.samplers[cls].sample(active, model.lanes);
+    if (plan.degenerate) {
+        // Always-fires class: every ordinal is scheduled.
+        plan.nextFireOrd = ord + 1;
+        return plan.degenerate_fires & active;
     }
-};
+    // Fired lanes are a subset of active by construction (only active
+    // lanes were walked).
+    const std::uint64_t fired = plan.eventMask[plan.next];
+    ++plan.next;
+    plan.nextFireOrd = plan.next < plan.eventOrd.size()
+                           ? plan.eventOrd[plan.next]
+                           : ClassDrawPlan::kNoFire;
+    return fired;
+}
 
-/** Per-site fires popped from the pre-walked per-trace plans. */
-struct PlannedSampling
+/** The fired lanes of class @p cls's next site, popped from the
+ *  pre-walked per-trace plan. */
+[[gnu::always_inline]] inline std::uint64_t
+plannedFire(BatchedNoiseModel &model, std::uint8_t cls, std::uint64_t active)
 {
-    /** Scheduled-ordinal hit: pop the fired word. Outlined so the
-     *  inlined miss path below stays a compare and an increment. */
-    [[gnu::noinline]] static std::uint64_t
-    pop(ClassDrawPlan &plan, std::uint32_t ord, std::uint64_t active)
-    {
-        if (plan.degenerate) {
-            // Always-fires class: every ordinal is scheduled.
-            plan.nextFireOrd = ord + 1;
-            return plan.degenerate_fires & active;
-        }
-        // Fired lanes are a subset of active by construction (only
-        // active lanes were walked).
-        const std::uint64_t fired = plan.eventMask[plan.next];
-        ++plan.next;
-        plan.nextFireOrd = plan.next < plan.eventOrd.size()
-                               ? plan.eventOrd[plan.next]
-                               : ClassDrawPlan::kNoFire;
+    ClassDrawPlan &plan = model.plans[cls];
+    const std::uint32_t ord = plan.ordinal++;
+    if (plan.dense) {
+        // Dense plan: every ordinal is scheduled; serve straight from
+        // the walk scratch, zeroing it back for the next planning pass.
+        // Kept on the inline path: far above threshold every site of a
+        // dense class lands here.
+        const std::uint64_t fired = plan.fires[ord];
+        plan.fires[ord] = 0;
         return fired;
     }
-
-    [[gnu::always_inline]] static inline std::uint64_t
-    fire(BatchedNoiseModel &model, std::uint8_t cls, std::uint64_t active)
-    {
-        ClassDrawPlan &plan = model.plans[cls];
-        const std::uint32_t ord = plan.ordinal++;
-        if (plan.dense) {
-            // Dense plan: every ordinal is scheduled; serve straight
-            // from the walk scratch, zeroing it back for the next
-            // planning pass. Kept on the inline path: far above
-            // threshold every site of a dense class lands here.
-            const std::uint64_t fired = plan.fires[ord];
-            plan.fires[ord] = 0;
-            return fired;
-        }
-        // Sparse plans make almost every site a miss, priced at one
-        // compare against the next scheduled fire ordinal.
-        if (ord != plan.nextFireOrd) [[likely]]
-            return 0;
-        return pop(plan, ord, active);
-    }
-};
+    // Sparse plans make almost every site a miss, priced at one compare
+    // against the next scheduled fire ordinal.
+    if (ord != plan.nextFireOrd) [[likely]]
+        return 0;
+    return popPlannedFire(plan, ord, active);
+}
 
 /**
  * Drain the dense walk scratch into the plan's sparse event arrays,
@@ -384,10 +367,10 @@ packWalkedPlan(ClassDrawPlan &plan, std::uint32_t sites,
 /**
  * Walk every active lane's clock over the whole trace, one walk per
  * non-degenerate class the trace samples (its walkPlan skeleton), and
- * leave the sorted fire schedules in model.plans. This is the
- * TraceDraws fast path's core saving: a no-fire (class, lane) pair
- * costs one counter update for the entire trace instead of one
- * calendar bump per site. Plans of classes outside the skeleton are
+ * leave the sorted fire schedules in model.plans. This is the replay's
+ * core saving: a no-fire (class, lane) pair costs one counter update
+ * for the entire trace instead of one trial per site. An empty
+ * @p active walks nothing. Plans of classes outside the skeleton are
  * stale but unreachable -- the replay switch never fires a class
  * without sites.
  */
@@ -395,6 +378,8 @@ void
 planTraceDraws(const FrameTrace &trace, BatchedNoiseModel &model,
                std::uint64_t active)
 {
+    if (!active)
+        return;
     qla_assert(trace.classSites.size() == model.draws.size(),
                "trace not finalized against this class table");
     for (const TraceClassWalk &entry : trace.walkPlan) {
@@ -419,10 +404,14 @@ planTraceDraws(const FrameTrace &trace, BatchedNoiseModel &model,
     }
 }
 
-/** Every plan must be exactly consumed by the replay it was built for. */
+/** Every plan of an active word must be exactly consumed by the replay
+ *  it was built for. */
 void
-verifyTracePlans(const FrameTrace &trace, const BatchedNoiseModel &model)
+verifyTracePlans(const FrameTrace &trace, const BatchedNoiseModel &model,
+                 std::uint64_t active)
 {
+    if (!active)
+        return;
     for (const TraceClassWalk &entry : trace.walkPlan) {
         qla_assert(model.plans[entry.cls].ordinal == entry.sites,
                    "replay visited ", model.plans[entry.cls].ordinal,
@@ -439,7 +428,7 @@ verifyTracePlans(const FrameTrace &trace, const BatchedNoiseModel &model)
  * The gate cases are W-length word loops over adjacent memory -- the
  * auto-vectorizable kernels this file exists for. The noise and readout
  * cases go through fire1/fire2/readout, which loop sub-words and skip
- * inactive ones, because sampler state is per word: each word's lanes
+ * inactive ones, because fire plans are per word: each word's lanes
  * consume randomness in exactly the order a per-word replay would, so
  * results are bit-identical for every tile width.
  *
@@ -447,7 +436,7 @@ verifyTracePlans(const FrameTrace &trace, const BatchedNoiseModel &model)
  * compile time; the single-word fast paths instantiate StaticStride
  * = 1, which turns every q * stride + i access into a plain q index.
  */
-template <int W, class Policy, int StaticStride = 0>
+template <int W, int StaticStride = 0>
 void
 replayTraceTile(const FrameTrace &trace, std::uint64_t *x,
                 std::uint64_t *z, std::size_t dyn_stride,
@@ -465,7 +454,7 @@ replayTraceTile(const FrameTrace &trace, std::uint64_t *x,
             if (!m[i])
                 continue;
             const std::uint64_t fired
-                = Policy::fire(models[i], cls, m[i]);
+                = plannedFire(models[i], cls, m[i]);
             if (!fired)
                 continue;
             const auto d = quantum::drawPauli1(fired, models[i].lanes);
@@ -479,7 +468,7 @@ replayTraceTile(const FrameTrace &trace, std::uint64_t *x,
             if (!m[i])
                 continue;
             const std::uint64_t fired
-                = Policy::fire(models[i], cls, m[i]);
+                = plannedFire(models[i], cls, m[i]);
             if (!fired)
                 continue;
             const auto d = quantum::drawPauli2(fired, models[i].lanes);
@@ -501,7 +490,7 @@ replayTraceTile(const FrameTrace &trace, std::uint64_t *x,
                 word = (measure_x ? zq : xq) & m[i];
                 xq &= ~m[i];
                 zq &= ~m[i];
-                word ^= Policy::fire(models[i], cls, m[i]);
+                word ^= plannedFire(models[i], cls, m[i]);
             }
             flips[i].push_back(word);
         }
@@ -629,8 +618,7 @@ replayTraceTile(const FrameTrace &trace, std::uint64_t *x,
 /** Widest SIMD plane the group replay carves, in 64-bit words. */
 constexpr std::size_t kTileWords = 4;
 
-/** Run one planned or site-sampled tile of width 4, 2 or 1. */
-template <class Policy>
+/** Run one tile of width 4, 2 or 1. */
 void
 replayTile(std::size_t tile, const FrameTrace &trace, std::uint64_t *x,
            std::uint64_t *z, std::size_t stride, BatchedNoiseModel *models,
@@ -638,16 +626,13 @@ replayTile(std::size_t tile, const FrameTrace &trace, std::uint64_t *x,
 {
     switch (tile) {
       case 4:
-        replayTraceTile<4, Policy>(trace, x, z, stride, models, masks,
-                                   flips);
+        replayTraceTile<4>(trace, x, z, stride, models, masks, flips);
         break;
       case 2:
-        replayTraceTile<2, Policy>(trace, x, z, stride, models, masks,
-                                   flips);
+        replayTraceTile<2>(trace, x, z, stride, models, masks, flips);
         break;
       default:
-        replayTraceTile<1, Policy>(trace, x, z, stride, models, masks,
-                                   flips);
+        replayTraceTile<1>(trace, x, z, stride, models, masks, flips);
         break;
     }
 }
@@ -657,32 +642,23 @@ replayTile(std::size_t tile, const FrameTrace &trace, std::uint64_t *x,
 void
 replayTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
             BatchedNoiseModel &noise, std::uint64_t active,
-            std::vector<std::uint64_t> &flips, FaultSampling sampling)
+            std::vector<std::uint64_t> &flips)
 {
-    // The single-word replay is the W = 1, compile-time-stride-1 tile;
-    // an inactive word consumes no randomness under either policy, so
-    // skip planning when the mask is empty (the tile still pushes zero
-    // flip words).
+    // The single-word replay is the W = 1, compile-time-stride-1 tile.
+    // An inactive word walks no clock (the tile still pushes zero flip
+    // words).
     flips.reserve(flips.size() + trace.numMeasurements);
-    if (sampling == FaultSampling::TraceDraws && active) {
-        planTraceDraws(trace, noise, active);
-        replayTraceTile<1, PlannedSampling, 1>(trace, frame.xData(),
-                                               frame.zData(), 1, &noise,
-                                               &active, &flips);
-        verifyTracePlans(trace, noise);
-        return;
-    }
-    replayTraceTile<1, SiteSampling, 1>(trace, frame.xData(),
-                                        frame.zData(), 1, &noise,
-                                        &active, &flips);
+    planTraceDraws(trace, noise, active);
+    replayTraceTile<1, 1>(trace, frame.xData(), frame.zData(), 1, &noise,
+                          &active, &flips);
+    verifyTracePlans(trace, noise, active);
 }
 
 void
 replayTraceGroup(const FrameTrace &trace,
                  quantum::GroupPauliFrames &frames,
                  BatchedNoiseModel *models, const std::uint64_t *masks,
-                 std::size_t num_words, std::vector<std::uint64_t> *flips,
-                 FaultSampling sampling)
+                 std::size_t num_words, std::vector<std::uint64_t> *flips)
 {
     // The group's rows must be packed (or over-provisioned) for this
     // batch: reset(num_words) is the batch prologue that guarantees it.
@@ -703,15 +679,9 @@ replayTraceGroup(const FrameTrace &trace,
     if (num_words == 1 && stride == 1) {
         if (!masks[0])
             return;
-        if (sampling == FaultSampling::TraceDraws) {
-            planTraceDraws(trace, models[0], masks[0]);
-            replayTraceTile<1, PlannedSampling, 1>(trace, x, z, 1, models,
-                                                   masks, flips);
-            verifyTracePlans(trace, models[0]);
-        } else {
-            replayTraceTile<1, SiteSampling, 1>(trace, x, z, 1, models,
-                                                masks, flips);
-        }
+        planTraceDraws(trace, models[0], masks[0]);
+        replayTraceTile<1, 1>(trace, x, z, 1, models, masks, flips);
+        verifyTracePlans(trace, models[0], masks[0]);
         return;
     }
 
@@ -726,19 +696,12 @@ replayTraceGroup(const FrameTrace &trace,
             w0 += tile;
             continue;
         }
-        if (sampling == FaultSampling::TraceDraws) {
-            for (std::size_t i = 0; i < tile; ++i)
-                if (masks[w0 + i])
-                    planTraceDraws(trace, models[w0 + i], masks[w0 + i]);
-            replayTile<PlannedSampling>(tile, trace, x + w0, z + w0, stride,
-                                        models + w0, masks + w0, flips + w0);
-            for (std::size_t i = 0; i < tile; ++i)
-                if (masks[w0 + i])
-                    verifyTracePlans(trace, models[w0 + i]);
-        } else {
-            replayTile<SiteSampling>(tile, trace, x + w0, z + w0, stride,
-                                     models + w0, masks + w0, flips + w0);
-        }
+        for (std::size_t i = 0; i < tile; ++i)
+            planTraceDraws(trace, models[w0 + i], masks[w0 + i]);
+        replayTile(tile, trace, x + w0, z + w0, stride, models + w0,
+                   masks + w0, flips + w0);
+        for (std::size_t i = 0; i < tile; ++i)
+            verifyTracePlans(trace, models[w0 + i], masks[w0 + i]);
         w0 += tile;
     }
 }

@@ -13,9 +13,12 @@
  *
  * Fault sites reference noise classes -- deduplicated probabilities
  * registered in a NoiseClassTable at record time -- and a
- * BatchedNoiseModel binds one geometric-gap Bernoulli sampler per class
- * plus the 64 per-lane Rng streams, so replaying a trace consumes
- * randomness per lane exactly as the scalar engine would.
+ * BatchedNoiseModel binds one geometric-gap clock per class
+ * (ClassDrawSampler) plus the 64 per-lane Rng streams. Before a word
+ * replays a trace, each class's clock is walked over all of the trace's
+ * sites of that class at once, and the replay pops the pre-walked fire
+ * schedule site by site: every lane's faults are i.i.d. Bernoulli(p)
+ * over the sites at which it was active, drawn from its own stream.
  */
 
 #ifndef QLA_ARQ_FRAME_TRACE_H
@@ -40,8 +43,7 @@ class NoiseClassTable
     /**
      * Register a fresh class even when the probability already exists.
      * Used to give sparse-mask paths (retries, conditional corrections)
-     * samplers of their own, so they never force the full-width
-     * samplers to park and unpark whole words of lane clocks.
+     * clocks of their own, separate from the full-width schedule's.
      */
     std::uint8_t newClass(double p);
 
@@ -128,8 +130,8 @@ struct FrameTrace
     /**
      * Sampler calls per noise class over one full replay of this trace,
      * indexed by class id (filled by finalizeTraceClassSites). This is
-     * what lets FaultSampling::TraceDraws advance each lane's clock over
-     * a whole trace in one walk instead of one trial per site: the k-th
+     * what lets replay advance each lane's clock over a whole trace in
+     * one walk instead of one trial per site: the k-th
      * sampler call of class c during replay is trial ordinal k of that
      * class's pre-walked block.
      */
@@ -151,8 +153,8 @@ struct FrameTrace
  * store them in trace.classSites (sized to the class table), and build
  * trace.walkPlan, the fire-plan skeleton of the classes that actually
  * appear. Must be called once after recording, before the trace is
- * replayed with FaultSampling::TraceDraws; the counting rules mirror
- * the replay switch exactly (asserted post-replay in debug builds).
+ * replayed; the counting rules mirror the replay switch exactly
+ * (asserted after every replay).
  */
 void finalizeTraceClassSites(FrameTrace &trace,
                              const NoiseClassTable &classes);
@@ -208,9 +210,9 @@ class FrameTraceBuilder
 
 /**
  * One noise class's pre-walked fire schedule for the trace currently
- * being replayed on one word (FaultSampling::TraceDraws). Rebuilt by the
- * per-trace planning pass; consumed one site ordinal at a time as the
- * replay switch reaches the class's sampler calls.
+ * being replayed on one word. Rebuilt by the per-trace planning pass;
+ * consumed one site ordinal at a time as the replay switch reaches the
+ * class's sampler calls.
  */
 struct ClassDrawPlan
 {
@@ -261,52 +263,44 @@ struct ClassDrawPlan
     std::uint64_t degenerate_fires = 0;
 };
 
-/** Per-class samplers plus per-lane streams for one 64-shot word. */
+/** Per-class clocks plus per-lane streams for one 64-shot word. */
 struct BatchedNoiseModel
 {
     explicit BatchedNoiseModel(const NoiseClassTable &classes);
 
     /**
      * Bind the 64 lanes to the family streams for shots
-     * [first_shot, first_shot + 64) and disarm every sampler; lane l's
+     * [first_shot, first_shot + 64) and disarm every clock; lane l's
      * noise then depends only on (family, first_shot + l).
      */
     void rearm(const RngFamily &family, std::uint64_t first_shot);
 
     /**
      * Move one lane's migratable identity into @p dst: the rng stream
-     * by value, and -- for each of the @p num_classes sampler-class
-     * pairs -- the lane's noise clock, parked out of this model's
-     * sampler src_cls[c] and imported at @p dst_lane of @p dst's
-     * sampler dst_cls[c]. This is the per-lane reference semantics of
-     * segment migration; arq::SegmentPool's bulk transplants perform
-     * exactly these moves but loop class-outer across a whole chunk of
-     * lanes for cache locality (clock moves between distinct
-     * (sampler, lane) slots commute). The class pairing must cover
-     * every class the migrated segment can sample (clocks of unlisted
-     * classes stay put, which is exactly right for classes the segment
-     * never replays), and each pair must carry the same probability
-     * (asserted).
+     * by value, and -- for each of the @p num_classes class pairs --
+     * the lane's clock, exported from this model's draws[src_cls[c]]
+     * and imported at @p dst_lane of @p dst's draws[dst_cls[c]]. This
+     * is the per-lane reference semantics of segment migration;
+     * arq::SegmentPool's bulk transplants perform exactly these moves
+     * but loop class-outer across a whole chunk of lanes for cache
+     * locality (clock moves between distinct (clock, lane) slots
+     * commute). The class pairing must cover every class the migrated
+     * segment can sample (clocks of unlisted classes stay put, which is
+     * exactly right for classes the segment never replays), and each
+     * pair must carry the same probability (asserted).
      */
     void moveLaneTo(BatchedNoiseModel &dst, std::size_t dst_lane,
                     std::size_t src_lane, const std::uint8_t *src_cls,
                     const std::uint8_t *dst_cls, std::size_t num_classes)
     {
         dst.lanes[dst_lane] = lanes[src_lane];
-        for (std::size_t c = 0; c < num_classes; ++c) {
-            samplers[src_cls[c]].moveLaneTo(dst.samplers[dst_cls[c]],
-                                            dst_lane, src_lane);
-            // The trace-draw clock of the same class travels with the
-            // lane; in SiteGeometric runs these clocks are all unseen
-            // and the move is a no-op.
+        for (std::size_t c = 0; c < num_classes; ++c)
             draws[src_cls[c]].moveLaneTo(dst.draws[dst_cls[c]], dst_lane,
                                          src_lane);
-        }
     }
 
     LaneRngs lanes;
-    std::vector<BernoulliWordSampler> samplers;
-    /** Trace-level clocks, one per class (FaultSampling::TraceDraws). */
+    /** One clock per noise class. */
     std::vector<ClassDrawSampler> draws;
     /** Scratch fire schedules for the trace being replayed. */
     std::vector<ClassDrawPlan> plans;
@@ -317,14 +311,12 @@ struct BatchedNoiseModel
  * flip words are appended to @p flips in op order (the caller clears the
  * buffer between replays). Takes the concrete engine so every gate and
  * readout compiles to direct word operations -- replay is the Monte
- * Carlo's innermost loop. @p sampling selects how fault sites turn into
- * fired lanes (TraceDraws requires trace.classSites and trace.walkPlan
- * to be finalized).
+ * Carlo's innermost loop. The trace must be finalized
+ * (finalizeTraceClassSites) against the model's class table.
  */
 void replayTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
                  BatchedNoiseModel &noise, std::uint64_t active,
-                 std::vector<std::uint64_t> &flips,
-                 FaultSampling sampling = FaultSampling::SiteGeometric);
+                 std::vector<std::uint64_t> &flips);
 
 /**
  * Replay @p trace on all @p num_words words of a shot group at once,
@@ -345,8 +337,7 @@ void replayTraceGroup(const FrameTrace &trace,
                       quantum::GroupPauliFrames &frames,
                       BatchedNoiseModel *models,
                       const std::uint64_t *masks, std::size_t num_words,
-                      std::vector<std::uint64_t> *flips,
-                      FaultSampling sampling);
+                      std::vector<std::uint64_t> *flips);
 
 } // namespace qla::arq
 

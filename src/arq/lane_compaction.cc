@@ -61,15 +61,14 @@ SegmentPool::transplantIn(std::size_t k,
                           const SamplerClassMap &classes) const
 {
     // Each migrated lane carries its identity: rng stream by value,
-    // noise clocks parked out of the home word's samplers and into the
-    // dense word's samplers of the mapped class (the same per-lane
-    // transplant BatchedNoiseModel::moveLaneTo performs). The loops run
-    // class-outer rather than lane-outer purely for locality: clock
-    // moves between distinct (sampler, lane) slots commute, and with
-    // the refs (word, lane)-sorted each home word's sampler -- and the
-    // dense word's -- stays cache-hot across its whole run of lanes,
-    // where the lane-outer order walked every class's cold sampler pair
-    // once per migrated lane.
+    // noise clocks exported from the home word's clocks and imported
+    // into the dense word's clocks of the mapped class (the same
+    // per-lane transplant BatchedNoiseModel::moveLaneTo performs). The
+    // loops run class-outer rather than lane-outer purely for locality:
+    // clock moves between distinct (clock, lane) slots commute, and
+    // with the refs (word, lane)-sorted each home word's clock -- and
+    // the dense word's -- stays cache-hot across its whole run of
+    // lanes.
     const LaneRef *refs = refs_.data() + k * kBatchLanes;
     const std::size_t lanes = chunkLanes(k);
     for (std::size_t j = 0; j < lanes; ++j)
@@ -77,12 +76,9 @@ SegmentPool::transplantIn(std::size_t k,
     for (std::size_t c = 0; c < classes.count; ++c) {
         const std::uint8_t hc = classes.home[c];
         const std::uint8_t dc = classes.dense[c];
-        for (std::size_t j = 0; j < lanes; ++j) {
-            BatchedNoiseModel &src = home[refs[j].word];
-            src.samplers[hc].moveLaneTo(dense.samplers[dc], j,
-                                        refs[j].lane);
-            src.draws[hc].moveLaneTo(dense.draws[dc], j, refs[j].lane);
-        }
+        for (std::size_t j = 0; j < lanes; ++j)
+            home[refs[j].word].draws[hc].moveLaneTo(dense.draws[dc], j,
+                                                    refs[j].lane);
     }
 }
 
@@ -99,12 +95,9 @@ SegmentPool::transplantOut(std::size_t k,
     for (std::size_t c = 0; c < classes.count; ++c) {
         const std::uint8_t hc = classes.home[c];
         const std::uint8_t dc = classes.dense[c];
-        for (std::size_t j = 0; j < lanes; ++j) {
-            BatchedNoiseModel &dst = home[refs[j].word];
-            dense.samplers[dc].moveLaneTo(dst.samplers[hc], refs[j].lane,
-                                          j);
-            dense.draws[dc].moveLaneTo(dst.draws[hc], refs[j].lane, j);
-        }
+        for (std::size_t j = 0; j < lanes; ++j)
+            dense.draws[dc].moveLaneTo(home[refs[j].word].draws[hc],
+                                       refs[j].lane, j);
     }
 }
 
@@ -248,8 +241,7 @@ PrepRetryPool::PrepRetryPool(const ecc::CssCode &code,
                              int max_prep_attempts,
                              const NoiseClassTable &parent_classes,
                              const std::vector<std::uint8_t>
-                                 &shadow_of_primary,
-                             FaultSampling sampling)
+                                 &shadow_of_primary)
     : code_(code), n_(code.blockLength()),
       max_prep_attempts_(max_prep_attempts),
       frame_(std::max(3 * code.blockLength(),
@@ -278,7 +270,6 @@ PrepRetryPool::PrepRetryPool(const ecc::CssCode &code,
           return classes_;
       }())
 {
-    sampling_ = sampling;
     // The class table is final only now (recording above may have added
     // classes), so the per-class site counts and fire-plan skeletons
     // that drive trace-level batched draws are finalized here, over
@@ -411,7 +402,7 @@ PrepRetryPool::runExtract(bool detect_x, const LaneSet &mask,
         runAttempts(detect_x, dense, 1, stats);
         flips_.clear();
         replayTrace(extract_traces_[detect_x ? 1 : 0], frame_, model_,
-                    dense, flips_, sampling_);
+                    dense, flips_);
         SyndromePlanes planes{};
         for (std::size_t j = 0; j < num_checks; ++j)
             planes[j] = parityPlane(rows[j], flips_.data());
@@ -452,7 +443,7 @@ PrepRetryPool::runVerifySeries(bool plus, const LaneSet &mask,
                 mig_.gatherRow(k, frames, site_q0[s] + i, frame_, i);
             flips_.clear();
             replayTrace(verify_traces_[plus ? 1 : 0], frame_, model_,
-                        dense, flips_, sampling_);
+                        dense, flips_);
             SyndromePlanes synd{};
             for (std::size_t j = 0; j < num_checks; ++j)
                 synd[j] = parityPlane(rows[j], flips_.data());
@@ -490,7 +481,7 @@ PrepRetryPool::runNetwork(bool plus, const LaneSet &mask,
                                g * n_ + i);
         flips_.clear();
         replayTrace(network_traces_[plus ? 1 : 0], frame_, model_,
-                    mig_.chunkMask(k), flips_, sampling_);
+                    mig_.chunkMask(k), flips_);
         for (std::size_t g = 0; g < num_rows; ++g)
             for (std::size_t i = 0; i < n_; ++i)
                 mig_.scatterRow(k, frames, row_q0[g] + i, frame_,
@@ -513,7 +504,7 @@ PrepRetryPool::runAttempts(bool plus, std::uint64_t mask,
     int attempt = first_attempt;
     for (;;) {
         flips_.clear();
-        replayTrace(trace, frame_, model_, mask, flips_, sampling_);
+        replayTrace(trace, frame_, model_, mask, flips_);
         SyndromePlanes synd{};
         const auto &rows = plus ? x_check_bits_ : z_check_bits_;
         for (std::size_t j = 0; j < rows.size(); ++j)

@@ -17,8 +17,8 @@
  * - SegmentPool is the migration engine every pooled path shares: it
  *   plans the (word, lane) -> dense-slot assignment, transplants each
  *   migrated lane's identity (its per-shot rng stream by value, its
- *   noise-clock state in every relevant sampler class exported/imported
- *   through BernoulliWordSampler::exportLane/importLane), and moves
+ *   noise-clock state in every relevant noise class exported/imported
+ *   through ClassDrawSampler::exportLane/importLane), and moves
  *   frame rows and result bit-planes between home lane positions and
  *   dense slots.
  *
@@ -29,7 +29,7 @@
  *   verification pair, and the level-2 encoding network. Its noise
  *   classes are pool-local and mapped to the parent's shadow classes of
  *   the same probability, so a migrated lane's clocks transplant
- *   between its home shadow samplers and the pool samplers.
+ *   between its home shadow clocks and the pool clocks.
  *
  * Whole sparse subtrees (level-2 "Start Over" rounds, repeated level-2
  * extraction) instead migrate into a dense twin experiment
@@ -233,15 +233,11 @@ class PrepRetryPool
      *                          the recorder the parent traces used).
      * @param parent_classes    The parent experiment's class table.
      * @param shadow_of_primary Parent shadow class of each primary id.
-     * @param sampling          The parent's fault-sampling granularity
-     *                          (pooled replays must draw the same way).
      */
     PrepRetryPool(const ecc::CssCode &code, const TileRowRecorder &recorder,
                   int max_prep_attempts,
                   const NoiseClassTable &parent_classes,
-                  const std::vector<std::uint8_t> &shadow_of_primary,
-                  FaultSampling sampling
-                  = FaultSampling::SiteGeometric);
+                  const std::vector<std::uint8_t> &shadow_of_primary);
 
     /**
      * Run the remaining verified-preparation attempts (the first one
@@ -358,8 +354,6 @@ class PrepRetryPool
     BatchedNoiseModel model_;
     std::vector<std::uint64_t> flips_;
     SegmentPool mig_;
-    /** Parent's fault-sampling granularity, used for pooled replays. */
-    FaultSampling sampling_ = FaultSampling::SiteGeometric;
 };
 
 } // namespace qla::arq

@@ -227,10 +227,7 @@ class LogicalQubitExperiment
  * Execution-shape options for the batched engine. By the determinism
  * contract (see ROADMAP "Rng-splitting determinism"), every setting
  * produces bit-identical results -- shot i's outcome is a pure function
- * of (seed, i) -- so these only trade memory and throughput. The one
- * exception is faultSampling: its two modes consume each lane's stream
- * in different orders, so they are two (individually deterministic)
- * statistically identical realizations, not bit-identical twins.
+ * of (seed, i) -- so these only trade memory and throughput.
  */
 struct BatchOptions
 {
@@ -258,13 +255,6 @@ struct BatchOptions
      * laneCompaction; results are bit-identical for every value.
      */
     double migrationFillThreshold = 0.25;
-    /**
-     * Granularity of fault-site sampling (see common/batched_sampler.h):
-     * TraceDraws walks each lane's per-class clock over a whole trace at
-     * once and is the fast default; SiteGeometric is the PR-4 per-site
-     * calendar, kept as the statistical cross-check reference.
-     */
-    FaultSampling faultSampling = FaultSampling::TraceDraws;
 };
 
 /** Options for the parallel Monte-Carlo entry points. */

@@ -1,10 +1,6 @@
 #include "common/batched_sampler.h"
 
-#include <bit>
 #include <cmath>
-#include <limits>
-
-#include "common/logging.h"
 
 namespace qla {
 
@@ -14,130 +10,6 @@ geometricInvLog2q(double p)
     if (p <= 0.0 || p >= 1.0)
         return 0.0;
     return 1.0 / (std::log1p(-p) * 1.4426950408889634);
-}
-
-BernoulliWordSampler::BernoulliWordSampler(double p) : p_(p)
-{
-    qla_assert(p >= 0.0 && p <= 1.0, "Bernoulli probability ", p);
-    inv_log2_q_ = geometricInvLog2q(p_);
-    disarm();
-}
-
-void
-BernoulliWordSampler::disarm()
-{
-    // Clear only the occupied calendar buckets (at most one per armed
-    // lane) -- a full ring wipe per class per batch word would dwarf the
-    // sampling itself.
-    std::uint64_t m = armed_;
-    while (m) {
-        const int l = std::countr_zero(m);
-        m &= m - 1;
-        (*ring_)[cnt_[l] & kRingMask] = 0;
-    }
-    armed_ = 0;
-    seen_ = 0;
-    elapsed_ = 0;
-    cnt_.fill(kNeverFires);
-}
-
-std::int64_t
-BernoulliWordSampler::nextGap(Rng &rng) const
-{
-    return geometricGap(rng, inv_log2_q_);
-}
-
-std::uint64_t
-BernoulliWordSampler::fireCheck(std::uint64_t candidates, LaneRngs &lanes)
-{
-    // The current bucket holds lanes whose fire time is congruent to
-    // elapsed_ mod the ring size; fire the ones that are actually due
-    // and move them to the bucket of their next fire time. Buckets
-    // almost always hold a single lane.
-    if (!(candidates & (candidates - 1))) {
-        const int l = std::countr_zero(candidates);
-        if (cnt_[l] != elapsed_)
-            return 0; // same bucket, a later lap of the ring
-        (*ring_)[cnt_[l] & kRingMask] &= ~candidates;
-        cnt_[l] = elapsed_ + nextGap(lanes[l]);
-        (*ring_)[cnt_[l] & kRingMask] |= candidates;
-        return candidates;
-    }
-    std::uint64_t fired = 0;
-    while (candidates) {
-        const int l = std::countr_zero(candidates);
-        candidates &= candidates - 1;
-        if (cnt_[l] != elapsed_)
-            continue; // same bucket, a later lap of the ring
-        const std::uint64_t bit = std::uint64_t{1} << l;
-        fired |= bit;
-        (*ring_)[cnt_[l] & kRingMask] &= ~bit;
-        cnt_[l] = elapsed_ + nextGap(lanes[l]);
-        (*ring_)[cnt_[l] & kRingMask] |= bit;
-    }
-    return fired;
-}
-
-std::uint64_t
-BernoulliWordSampler::rebase(std::uint64_t active, LaneRngs &lanes)
-{
-    if (!active || p_ <= 0.0)
-        return 0;
-    if (p_ >= 1.0)
-        return active; // like Rng::bernoulli, certainties draw nothing
-    if (!ring_)
-        ring_ = std::make_unique<std::array<std::uint64_t, kRingSize>>();
-
-    // Park the lanes leaving the mask: freeze their remaining trials
-    // and pull them out of the calendar.
-    std::uint64_t park = armed_ & ~active;
-    while (park) {
-        const int l = std::countr_zero(park);
-        park &= park - 1;
-        (*ring_)[cnt_[l] & kRingMask] &= ~(std::uint64_t{1} << l);
-        cnt_[l] -= elapsed_;
-    }
-    // Resume previously parked lanes re-entering the mask.
-    std::uint64_t unpark = active & seen_ & ~armed_;
-    while (unpark) {
-        const int l = std::countr_zero(unpark);
-        unpark &= unpark - 1;
-        cnt_[l] += elapsed_;
-        (*ring_)[cnt_[l] & kRingMask] |= std::uint64_t{1} << l;
-    }
-    // Arm brand-new lanes from their own streams: gather one uniform
-    // per fresh lane (ascending lane order, as a per-lane arm loop
-    // would), convert the whole block through the vectorized inversion
-    // kernel, then insert the fire times into the calendar.
-    const std::uint64_t fresh = active & ~seen_;
-    if (fresh) {
-        double u[kBatchLanes];
-        std::int64_t g[kBatchLanes];
-        std::uint8_t lane[kBatchLanes];
-        std::size_t n = 0;
-        std::uint64_t scan = fresh;
-        while (scan) {
-            const int l = std::countr_zero(scan);
-            scan &= scan - 1;
-            lane[n] = static_cast<std::uint8_t>(l);
-            u[n] = lanes[l].uniform();
-            ++n;
-        }
-        geometricGapBlock(u, n, inv_log2_q_, g);
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t l = lane[i];
-            cnt_[l] = elapsed_ + g[i];
-            (*ring_)[cnt_[l] & kRingMask] |= std::uint64_t{1} << l;
-        }
-        seen_ |= fresh;
-    }
-    armed_ = active;
-
-    // Take this call's trial on the rebased mask.
-    const std::uint64_t due = (*ring_)[++elapsed_ & kRingMask];
-    if (!due)
-        return 0;
-    return fireCheck(due, lanes);
 }
 
 } // namespace qla

@@ -109,28 +109,8 @@ applyDepolarize2(BatchedPauliFrame &frame, std::size_t a, std::size_t b,
 }
 
 void
-depolarize1(BatchedPauliFrame &frame, std::size_t q,
-            BernoulliWordSampler &sampler, LaneRngs &lanes,
-            std::uint64_t active)
-{
-    const std::uint64_t fired = sampler.sample(active, lanes);
-    if (fired)
-        applyDepolarize1(frame, q, fired, lanes);
-}
-
-void
-depolarize2(BatchedPauliFrame &frame, std::size_t a, std::size_t b,
-            BernoulliWordSampler &sampler, LaneRngs &lanes,
-            std::uint64_t active)
-{
-    const std::uint64_t fired = sampler.sample(active, lanes);
-    if (fired)
-        applyDepolarize2(frame, a, b, fired, lanes);
-}
-
-void
 depolarize1(GroupPauliFrames &frames, std::size_t w, std::size_t q,
-            BernoulliWordSampler &sampler, LaneRngs &lanes,
+            ClassDrawSampler &sampler, LaneRngs &lanes,
             std::uint64_t active)
 {
     const std::uint64_t fired = sampler.sample(active, lanes);

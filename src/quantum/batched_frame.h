@@ -323,19 +323,13 @@ void applyDepolarize1(BatchedPauliFrame &frame, std::size_t q,
 void applyDepolarize2(BatchedPauliFrame &frame, std::size_t a,
                       std::size_t b, std::uint64_t fired, LaneRngs &lanes);
 
-/** Depolarize @p q with the sampler's probability on @p active lanes. */
-void depolarize1(BatchedPauliFrame &frame, std::size_t q,
-                 BernoulliWordSampler &sampler, LaneRngs &lanes,
-                 std::uint64_t active);
-
-/** Two-qubit depolarization with the sampler's probability. */
-void depolarize2(BatchedPauliFrame &frame, std::size_t a, std::size_t b,
-                 BernoulliWordSampler &sampler, LaneRngs &lanes,
-                 std::uint64_t active);
-
-/** depolarize1 on word @p w of a group frame (correction-path noise). */
+/**
+ * Depolarize qubit @p q of word @p w of a group frame with the sampler's
+ * probability on @p active lanes (one correction site: the sampler
+ * takes one trial per active lane).
+ */
 void depolarize1(GroupPauliFrames &frames, std::size_t w, std::size_t q,
-                 BernoulliWordSampler &sampler, LaneRngs &lanes,
+                 ClassDrawSampler &sampler, LaneRngs &lanes,
                  std::uint64_t active);
 
 } // namespace qla::quantum

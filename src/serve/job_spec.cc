@@ -122,6 +122,38 @@ parseList(std::istringstream &rest, std::vector<T> &values, Fn parse_one)
     return !values.empty();
 }
 
+//
+// Domain checks: out-of-domain values are rejected at parse time, so
+// they never reach the engine assertions that would abort a serving
+// daemon (or get served as meaningless results).
+//
+
+/** True for x in [0, 1]; NaN and infinities are outside. */
+bool
+inUnitInterval(double x)
+{
+    return x >= 0.0 && x <= 1.0;
+}
+
+/**
+ * The first of @p values outside [lo, hi] (NaN and infinities
+ * included), formatted %.17g, or "" when every value lies inside.
+ */
+template <typename T>
+std::string
+firstOutside(const std::vector<T> &values, T lo, T hi)
+{
+    for (const T value : values) {
+        if (!(value >= lo && value <= hi)) {
+            char buf[40];
+            std::snprintf(buf, sizeof(buf), "%.17g",
+                          static_cast<double>(value));
+            return buf;
+        }
+    }
+    return {};
+}
+
 } // namespace
 
 std::string
@@ -225,16 +257,11 @@ SweepJobSpec::parse(const std::string &text, SweepJobSpec &spec,
             if (!parseList(rest, spec.threshold.physicalErrors,
                            parseDoubleToken))
                 return fail("bad errors list");
-            // Reject out-of-domain rates here: past the parser they
-            // reach engine assertions that abort a serving daemon.
-            for (const double p : spec.threshold.physicalErrors) {
-                if (!(p >= 0.0 && p <= 1.0)) {
-                    char value[32];
-                    std::snprintf(value, sizeof(value), "%.17g", p);
-                    return fail(std::string("bad errors list: ") + value
-                                + " is not a probability in [0, 1]");
-                }
-            }
+            const std::string bad
+                = firstOutside(spec.threshold.physicalErrors, 0.0, 1.0);
+            if (!bad.empty())
+                return fail("bad errors list: " + bad
+                            + " is not a probability in [0, 1]");
         } else if (key == "shots") {
             if (!one_u64(spec.threshold.shots))
                 return fail("bad shots");
@@ -277,10 +304,20 @@ SweepJobSpec::parse(const std::string &text, SweepJobSpec &spec,
         } else if (key == "bandwidths") {
             if (!parseList(rest, spec.cosim.bandwidths, parseIntToken))
                 return fail("bad bandwidths list");
+            const std::string bad
+                = firstOutside(spec.cosim.bandwidths, 1, 1 << 20);
+            if (!bad.empty())
+                return fail("bad bandwidths list: " + bad
+                            + " channels (want >= 1)");
         } else if (key == "fault-rates") {
             if (!parseList(rest, spec.cosim.faultRates,
                            parseDoubleToken))
                 return fail("bad fault-rates list");
+            const std::string bad
+                = firstOutside(spec.cosim.faultRates, 0.0, 1.0);
+            if (!bad.empty())
+                return fail("bad fault-rates list: " + bad
+                            + " is not a probability in [0, 1]");
         } else if (key == "purifications") {
             if (!parseList(rest, spec.cosim.purificationLevels,
                            parseIntToken))
@@ -289,14 +326,29 @@ SweepJobSpec::parse(const std::string &text, SweepJobSpec &spec,
             if (!parseList(rest, spec.cosim.linkFidelities,
                            parseDoubleToken))
                 return fail("bad link-fidelities list");
+            const std::string bad
+                = firstOutside(spec.cosim.linkFidelities, 0.0, 1.0);
+            if (!bad.empty())
+                return fail("bad link-fidelities list: " + bad
+                            + " is not a fidelity in [0, 1]");
         } else if (key == "compute-fractions") {
             if (!parseList(rest, spec.cosim.computeFractions,
                            parseDoubleToken))
                 return fail("bad compute-fractions list");
+            const std::string bad
+                = firstOutside(spec.cosim.computeFractions, 0.0, 1.0);
+            if (!bad.empty())
+                return fail("bad compute-fractions list: " + bad
+                            + " is not a fraction in [0, 1]");
         } else if (key == "memory-levels") {
             if (!parseList(rest, spec.cosim.memoryCodeLevels,
                            parseIntToken))
                 return fail("bad memory-levels list");
+            const std::string bad
+                = firstOutside(spec.cosim.memoryCodeLevels, 1, 2);
+            if (!bad.empty())
+                return fail("bad memory-levels list: " + bad
+                            + " (want 1 or 2)");
         } else if (key == "seeds") {
             if (!parseList(rest, spec.cosim.seeds, parseU64Token))
                 return fail("bad seeds list");
@@ -306,11 +358,14 @@ SweepJobSpec::parse(const std::string &text, SweepJobSpec &spec,
                 return fail("bad placement (want random|affinity)");
             spec.cosim.randomPlacement = token == "random";
         } else if (key == "op-error") {
-            if (!one_double(spec.cosim.opError))
-                return fail("bad op-error");
+            if (!one_double(spec.cosim.opError)
+                || !inUnitInterval(spec.cosim.opError))
+                return fail("bad op-error (want a probability in [0, 1])");
         } else if (key == "delivery-threshold") {
-            if (!one_double(spec.cosim.deliveryThreshold))
-                return fail("bad delivery-threshold");
+            if (!one_double(spec.cosim.deliveryThreshold)
+                || !inUnitInterval(spec.cosim.deliveryThreshold))
+                return fail(
+                    "bad delivery-threshold (want a fidelity in [0, 1])");
         } else if (key == "retry-budget") {
             std::uint64_t budget = 0;
             if (!one_u64(budget) || budget > 1u << 20)

@@ -8,10 +8,12 @@
  * random lane masks, and flip readout. The scalar frame is the reference
  * engine; the batched one must be indistinguishable lane by lane.
  *
- * The batched Bernoulli sampler is additionally checked for statistics
- * (exact geometric-gap sampling of i.i.d. trials) and for its
- * determinism contract: a lane's draws depend only on its own stream and
- * its own activity, not on which other lanes share the word.
+ * The batched Bernoulli clock (ClassDrawSampler) is additionally checked
+ * for statistics (exact geometric-gap sampling of i.i.d. trials), for
+ * its determinism contract -- a lane's draws depend only on its own
+ * stream and its own activity, not on which other lanes share the word
+ * -- and for draw-for-draw agreement of the batched walk with the serial
+ * per-lane reference walk.
  */
 
 #include <gtest/gtest.h>
@@ -184,15 +186,16 @@ TEST(BatchedPauliFrame, MaskedLanesStayUntouched)
     }
 }
 
-TEST(BatchedSampler, MatchesBernoulliStatistics)
+TEST(ClassDrawSampler, SampleMatchesBernoulliStatistics)
 {
-    // Word-level rate over many trials must match p for every lane.
+    // Word-level rate over many one-site samples must match p for every
+    // lane.
     for (const double p : {0.002, 0.05, 0.3}) {
         RngFamily family(17);
         LaneRngs lanes;
         for (std::size_t l = 0; l < kBatchLanes; ++l)
             lanes[l] = family.stream(l);
-        BernoulliWordSampler sampler(p);
+        ClassDrawSampler sampler(p);
         const int trials = 40000;
         std::int64_t fires = 0;
         for (int t = 0; t < trials; ++t)
@@ -204,22 +207,26 @@ TEST(BatchedSampler, MatchesBernoulliStatistics)
     }
 }
 
-TEST(BatchedSampler, EdgeProbabilities)
+TEST(ClassDrawSampler, SampleEdgeProbabilities)
 {
     RngFamily family(3);
     LaneRngs lanes;
     for (std::size_t l = 0; l < kBatchLanes; ++l)
         lanes[l] = family.stream(l);
-    BernoulliWordSampler never(0.0);
-    BernoulliWordSampler always(1.0);
+    LaneRngs before = lanes;
+    ClassDrawSampler never(0.0);
+    ClassDrawSampler always(1.0);
     for (int t = 0; t < 100; ++t) {
         EXPECT_EQ(never.sample(~0ULL, lanes), 0u);
         EXPECT_EQ(always.sample(0x123456789abcdefULL, lanes),
                   0x123456789abcdefULL);
     }
+    // Certainties consume no randomness.
+    for (std::size_t l = 0; l < kBatchLanes; ++l)
+        EXPECT_EQ(lanes[l].next64(), before[l].next64()) << l;
 }
 
-TEST(BatchedSampler, LaneDrawsIndependentOfBatchComposition)
+TEST(ClassDrawSampler, SampleDrawsIndependentOfWordComposition)
 {
     // The determinism contract: lane l's fire sequence over its active
     // trials is the same whether it shares the word with 63 other lanes
@@ -232,7 +239,7 @@ TEST(BatchedSampler, LaneDrawsIndependentOfBatchComposition)
     LaneRngs lanes_full;
     for (std::size_t l = 0; l < kBatchLanes; ++l)
         lanes_full[l] = family.stream(l);
-    BernoulliWordSampler full(p);
+    ClassDrawSampler full(p);
     std::vector<bool> fires_full;
     for (int t = 0; t < trials; ++t)
         fires_full.push_back(
@@ -241,7 +248,7 @@ TEST(BatchedSampler, LaneDrawsIndependentOfBatchComposition)
     LaneRngs lanes_solo;
     for (std::size_t l = 0; l < kBatchLanes; ++l)
         lanes_solo[l] = family.stream(l);
-    BernoulliWordSampler solo(p);
+    ClassDrawSampler solo(p);
     std::vector<bool> fires_solo;
     for (int t = 0; t < trials; ++t)
         fires_solo.push_back(
@@ -251,7 +258,7 @@ TEST(BatchedSampler, LaneDrawsIndependentOfBatchComposition)
     EXPECT_EQ(fires_full, fires_solo);
 }
 
-TEST(BatchedSampler, ParkedLanesResumeWhereTheyStopped)
+TEST(ClassDrawSampler, SampleParkedLanesResumeWhereTheyStopped)
 {
     // Alternating masks: a lane's sequence over its own active trials
     // must be unaffected by the interleaved activity of other lanes.
@@ -267,7 +274,7 @@ TEST(BatchedSampler, ParkedLanesResumeWhereTheyStopped)
     };
 
     LaneRngs a = seed_lanes();
-    BernoulliWordSampler alternating(p);
+    ClassDrawSampler alternating(p);
     std::vector<bool> seq_a;
     for (int round = 0; round < 200; ++round) {
         for (int t = 0; t < 7; ++t)
@@ -278,7 +285,7 @@ TEST(BatchedSampler, ParkedLanesResumeWhereTheyStopped)
     }
 
     LaneRngs b = seed_lanes();
-    BernoulliWordSampler steady(p);
+    ClassDrawSampler steady(p);
     std::vector<bool> seq_b;
     for (int t = 0; t < 200 * 7; ++t)
         seq_b.push_back((steady.sample(~0ULL, b) >> lane) & 1);
@@ -286,7 +293,7 @@ TEST(BatchedSampler, ParkedLanesResumeWhereTheyStopped)
     EXPECT_EQ(seq_a, seq_b);
 }
 
-TEST(BatchedSampler, ExportImportContinuesSequence)
+TEST(ClassDrawSampler, SampleExportImportContinuesSequence)
 {
     // Lane compaction moves a shot between words mid-run. The moved
     // lane must continue the exact fire sequence it would have produced
@@ -300,7 +307,7 @@ TEST(BatchedSampler, ExportImportContinuesSequence)
     LaneRngs ref_lanes;
     for (std::size_t l = 0; l < kBatchLanes; ++l)
         ref_lanes[l] = family.stream(l);
-    BernoulliWordSampler reference(p);
+    ClassDrawSampler reference(p);
     std::vector<bool> ref_fires;
     for (int t = 0; t < 3000; ++t)
         ref_fires.push_back(
@@ -310,8 +317,8 @@ TEST(BatchedSampler, ExportImportContinuesSequence)
     for (std::size_t l = 0; l < kBatchLanes; ++l)
         home_lanes[l] = family.stream(l);
     LaneRngs away_lanes; // pool-side streams (only the slot in use set)
-    BernoulliWordSampler home(p);
-    BernoulliWordSampler away(p);
+    ClassDrawSampler home(p);
+    ClassDrawSampler away(p);
     std::vector<bool> fires;
     int t = 0;
     for (int phase = 0; phase < 6; ++phase) {
@@ -335,7 +342,7 @@ TEST(BatchedSampler, ExportImportContinuesSequence)
     EXPECT_EQ(fires, ref_fires);
 }
 
-TEST(BatchedSampler, ExportImportEdgeCases)
+TEST(ClassDrawSampler, SampleExportImportEdgeCases)
 {
     RngFamily family(9);
     LaneRngs lanes;
@@ -344,14 +351,14 @@ TEST(BatchedSampler, ExportImportEdgeCases)
 
     // A lane the sampler has never armed exports as kLaneUnseen, and
     // importing kLaneUnseen leaves the destination lane fresh.
-    BernoulliWordSampler sampler(0.1);
-    EXPECT_EQ(sampler.exportLane(7), BernoulliWordSampler::kLaneUnseen);
-    BernoulliWordSampler other(0.1);
-    other.importLane(7, BernoulliWordSampler::kLaneUnseen);
+    ClassDrawSampler sampler(0.1);
+    EXPECT_EQ(sampler.exportLane(7), ClassDrawSampler::kLaneUnseen);
+    ClassDrawSampler other(0.1);
+    other.importLane(7, ClassDrawSampler::kLaneUnseen);
 
     // A parked lane (active once, then masked out) round-trips.
     sampler.sample(~0ULL, lanes);
-    sampler.sample(1ULL, lanes); // parks every lane but 0
+    sampler.sample(1ULL, lanes); // every lane but 0 sits this one out
     const std::int64_t remaining = sampler.exportLane(9);
     EXPECT_GE(remaining, 1);
     other.importLane(9, remaining);
@@ -365,12 +372,12 @@ TEST(BatchedDepolarize, SingleQubitStatistics)
     for (std::size_t l = 0; l < kBatchLanes; ++l)
         lanes[l] = family.stream(l);
     const double p = 0.3;
-    BernoulliWordSampler sampler(p);
+    ClassDrawSampler sampler(p);
     const int trials = 4000;
     std::int64_t x = 0, y = 0, z = 0;
     for (int t = 0; t < trials; ++t) {
         BatchedPauliFrame frame(1);
-        depolarize1(frame, 0, sampler, lanes, ~0ULL);
+        applyDepolarize1(frame, 0, sampler.sample(~0ULL, lanes), lanes);
         const std::uint64_t xw = frame.xWord(0);
         const std::uint64_t zw = frame.zWord(0);
         x += std::popcount(xw & ~zw);
@@ -391,12 +398,12 @@ TEST(BatchedDepolarize, TwoQubitUniformOverFifteenPairs)
     for (std::size_t l = 0; l < kBatchLanes; ++l)
         lanes[l] = family.stream(l);
     const double p = 0.45;
-    BernoulliWordSampler sampler(p);
+    ClassDrawSampler sampler(p);
     const int trials = 4000;
     std::array<std::int64_t, 16> counts{};
     for (int t = 0; t < trials; ++t) {
         BatchedPauliFrame frame(2);
-        depolarize2(frame, 0, 1, sampler, lanes, ~0ULL);
+        applyDepolarize2(frame, 0, 1, sampler.sample(~0ULL, lanes), lanes);
         for (std::size_t l = 0; l < kBatchLanes; ++l) {
             const int pa = (frame.xBit(0, l) ? 1 : 0)
                 + (frame.zBit(0, l) ? 2 : 0);
@@ -414,8 +421,8 @@ TEST(BatchedDepolarize, TwoQubitUniformOverFifteenPairs)
 
 TEST(ClassDrawSampler, MatchesBernoulliStatistics)
 {
-    // The trace-level clock must realize i.i.d. Bernoulli(p) trials for
-    // every lane, exactly like the per-site word sampler.
+    // Long block walks must realize i.i.d. Bernoulli(p) trials for
+    // every lane, exactly like one-site samples.
     for (const double p : {0.002, 0.05, 0.3}) {
         RngFamily family(29);
         LaneRngs lanes;
@@ -470,9 +477,9 @@ TEST(ClassDrawSampler, BlockBoundariesDoNotChangeFirePositions)
 
 TEST(ClassDrawSampler, ExportImportContinuesSequence)
 {
-    // Lane compaction moves a shot's trace-draw clock between words
-    // mid-run exactly like the word sampler's: the migrated lane must
-    // keep the fire sequence it would have produced in place.
+    // Lane compaction moves a shot's clock between words mid-trace-run:
+    // the migrated lane must keep the fire sequence it would have
+    // produced in place.
     const double p = 0.05;
     RngFamily family(123);
     const int lane_home = 11;
@@ -517,8 +524,7 @@ TEST(ClassDrawSampler, ExportImportEdgeCases)
     ClassDrawSampler other(0.1);
     other.importLane(7, ClassDrawSampler::kLaneUnseen);
 
-    // A walked lane's remaining-trials clock round-trips (>= 1, same
-    // convention as BernoulliWordSampler::exportLane).
+    // A walked lane's remaining-trials clock round-trips (>= 1).
     sampler.walkLane(9, 100, rng, [](std::int64_t) {});
     const std::int64_t remaining = sampler.exportLane(9);
     EXPECT_GE(remaining, 1);
@@ -532,14 +538,83 @@ TEST(ClassDrawSampler, ExportImportEdgeCases)
     EXPECT_FALSE(ClassDrawSampler(0.5).alwaysFires());
 }
 
+TEST(ClassDrawSampler, WalkWordMatchesPerLaneWalk)
+{
+    // walkWord is the production walk (vectorized clock sweep, batched
+    // gap inversion, one-lane fast path); walkLane is its serial
+    // draw-for-draw reference. Over consecutive blocks with changing
+    // masks -- the full word and sparse subsets -- both must fire the
+    // same lanes at the same ordinals and leave identical clocks and
+    // streams. The probabilities cover the single-firing fast path
+    // (0.002) through multi-lane, multi-round walks (0.9).
+    for (const double p : {0.002, 0.05, 0.3, 0.9}) {
+        for (const std::int64_t sites : {1, 9, 2000}) {
+            RngFamily family(314);
+            LaneRngs word_lanes;
+            for (std::size_t l = 0; l < kBatchLanes; ++l)
+                word_lanes[l] = family.stream(l);
+            LaneRngs lane_lanes = word_lanes;
+            ClassDrawSampler word(p);
+            ClassDrawSampler serial(p);
+            Rng mask_rng(2718);
+            for (int block = 0; block < 24; ++block) {
+                std::uint64_t active;
+                switch (block % 4) {
+                  case 0:
+                    active = ~0ULL;
+                    break;
+                  case 1:
+                    active = mask_rng.next64() & mask_rng.next64()
+                        & mask_rng.next64();
+                    break;
+                  case 2:
+                    active = std::uint64_t{1} << mask_rng.uniformInt(64);
+                    break;
+                  default:
+                    active = mask_rng.next64() | mask_rng.next64();
+                    break;
+                }
+                std::vector<std::uint64_t> got(sites, 0);
+                const std::int64_t scatters = word.walkWord(
+                    active, sites, word_lanes, got.data());
+
+                std::vector<std::uint64_t> want(sites, 0);
+                std::int64_t fired = 0;
+                for (std::uint64_t walk = active; walk; walk &= walk - 1) {
+                    const int l = std::countr_zero(walk);
+                    serial.walkLane(l, sites, lane_lanes[l],
+                                    [&](std::int64_t ord) {
+                                        want[ord] |= std::uint64_t{1} << l;
+                                        ++fired;
+                                    });
+                }
+                ASSERT_EQ(got, want) << "p=" << p << " sites=" << sites
+                                     << " block=" << block;
+                EXPECT_EQ(scatters, fired);
+                for (std::size_t l = 0; l < kBatchLanes; ++l) {
+                    const std::int64_t a = word.exportLane(l);
+                    const std::int64_t b = serial.exportLane(l);
+                    ASSERT_EQ(a, b) << "p=" << p << " sites=" << sites
+                                    << " block=" << block << " lane " << l;
+                    word.importLane(l, a);
+                    serial.importLane(l, b);
+                }
+            }
+            for (std::size_t l = 0; l < kBatchLanes; ++l)
+                EXPECT_EQ(word_lanes[l].next64(), lane_lanes[l].next64())
+                    << "p=" << p << " sites=" << sites << " lane " << l;
+        }
+    }
+}
+
 TEST(GroupReplay, TileCarvingBitIdenticalLaneByLane)
 {
     // The contract of the SIMD shot planes: the group replay carves 4-,
     // 2- and 1-word tiles greedily from the group, and every carving
     // must leave every lane of every word -- frame bits and flip words
-    // -- exactly as the one-word replay does, in both fault-sampling
-    // modes. Group widths 1..9 cover every tile width, every remainder
-    // after the 4-word tiles, and the one-word fast path.
+    // -- exactly as the one-word replay does. Group widths 1..9 cover
+    // every tile width, every remainder after the 4-word tiles, and the
+    // one-word fast path.
     using namespace qla::arq;
     const std::size_t n = 6;
     NoiseClassTable classes;
@@ -566,42 +641,36 @@ TEST(GroupReplay, TileCarvingBitIdenticalLaneByLane)
         m = mask_rng.next64() | mask_rng.next64();
     masks[3] = 0; // a fully inactive word inside the group
 
-    for (const FaultSampling sampling :
-         {FaultSampling::SiteGeometric, FaultSampling::TraceDraws}) {
-        // Reference: each word alone through the single-word replay.
-        std::vector<BatchedPauliFrame> ref_frames(max_words,
-                                                  BatchedPauliFrame(n));
-        std::vector<std::vector<std::uint64_t>> ref_flips(max_words);
-        for (std::size_t w = 0; w < max_words; ++w) {
-            BatchedNoiseModel model(classes);
-            model.rearm(family, w * kBatchLanes);
-            replayTrace(trace, ref_frames[w], model, masks[w],
-                        ref_flips[w], sampling);
-        }
+    // Reference: each word alone through the single-word replay.
+    std::vector<BatchedPauliFrame> ref_frames(max_words,
+                                              BatchedPauliFrame(n));
+    std::vector<std::vector<std::uint64_t>> ref_flips(max_words);
+    for (std::size_t w = 0; w < max_words; ++w) {
+        BatchedNoiseModel model(classes);
+        model.rearm(family, w * kBatchLanes);
+        replayTrace(trace, ref_frames[w], model, masks[w], ref_flips[w]);
+    }
 
-        for (std::size_t words = 1; words <= max_words; ++words) {
-            GroupPauliFrames frames(n, words);
-            std::vector<BatchedNoiseModel> models;
-            for (std::size_t w = 0; w < words; ++w) {
-                models.emplace_back(classes);
-                models.back().rearm(family, w * kBatchLanes);
-            }
-            std::vector<std::vector<std::uint64_t>> flips(words);
-            replayTraceGroup(trace, frames, models.data(), masks.data(),
-                             words, flips.data(), sampling);
-            for (std::size_t w = 0; w < words; ++w) {
-                if (!masks[w])
-                    continue; // inactive words only get cleared flips
-                ASSERT_EQ(flips[w], ref_flips[w])
-                    << "group " << words << " word " << w;
-                for (std::size_t q = 0; q < n; ++q) {
-                    ASSERT_EQ(frames.xWord(w, q), ref_frames[w].xWord(q))
-                        << "group " << words << " word " << w << " q "
-                        << q;
-                    ASSERT_EQ(frames.zWord(w, q), ref_frames[w].zWord(q))
-                        << "group " << words << " word " << w << " q "
-                        << q;
-                }
+    for (std::size_t words = 1; words <= max_words; ++words) {
+        GroupPauliFrames frames(n, words);
+        std::vector<BatchedNoiseModel> models;
+        for (std::size_t w = 0; w < words; ++w) {
+            models.emplace_back(classes);
+            models.back().rearm(family, w * kBatchLanes);
+        }
+        std::vector<std::vector<std::uint64_t>> flips(words);
+        replayTraceGroup(trace, frames, models.data(), masks.data(),
+                         words, flips.data());
+        for (std::size_t w = 0; w < words; ++w) {
+            if (!masks[w])
+                continue; // inactive words only get cleared flips
+            ASSERT_EQ(flips[w], ref_flips[w])
+                << "group " << words << " word " << w;
+            for (std::size_t q = 0; q < n; ++q) {
+                ASSERT_EQ(frames.xWord(w, q), ref_frames[w].xWord(q))
+                    << "group " << words << " word " << w << " q " << q;
+                ASSERT_EQ(frames.zWord(w, q), ref_frames[w].zWord(q))
+                    << "group " << words << " word " << w << " q " << q;
             }
         }
     }

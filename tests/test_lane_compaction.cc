@@ -14,7 +14,7 @@
  * ctest, fuzzing the options over a seeded matrix of small experiments.
  *
  * The second half unit-tests the migration primitives themselves:
- * BernoulliWordSampler::exportLane/importLane round trips under
+ * ClassDrawSampler::exportLane/importLane round trips under
  * adversarial clock states (parked lanes, zero-gap fires, shadow-class
  * lanes mid-series) and the SegmentPool gather/scatter planning.
  */
@@ -207,7 +207,7 @@ TEST(SamplerTransplant, ZeroGapFiresSurviveRoundTrip)
         const int lane = 13;
 
         LaneRngs ref_lanes = familyLanes(family);
-        BernoulliWordSampler reference(p);
+        ClassDrawSampler reference(p);
         std::vector<bool> want;
         for (int t = 0; t < 400; ++t)
             want.push_back((reference.sample(~0ULL, ref_lanes) >> lane)
@@ -215,8 +215,8 @@ TEST(SamplerTransplant, ZeroGapFiresSurviveRoundTrip)
 
         LaneRngs home_lanes = familyLanes(family);
         LaneRngs away_lanes;
-        BernoulliWordSampler home(p);
-        BernoulliWordSampler away(p);
+        ClassDrawSampler home(p);
+        ClassDrawSampler away(p);
         std::vector<bool> got;
         int t = 0;
         for (int phase = 0; phase < 40; ++phase) {
@@ -243,27 +243,27 @@ TEST(SamplerTransplant, ZeroGapFiresSurviveRoundTrip)
 
 TEST(SamplerTransplant, ParkedLaneRoundTripsExactly)
 {
-    // A lane parked by a mask change (seen, not armed) must export its
-    // frozen remaining-trials count, and the count must survive any
-    // number of import/export hops unchanged.
+    // A lane parked by a mask change must export its frozen
+    // remaining-trials count, and the count must survive any number of
+    // import/export hops unchanged.
     RngFamily family(11);
     LaneRngs lanes = familyLanes(family);
-    BernoulliWordSampler sampler(0.07);
+    ClassDrawSampler sampler(0.07);
     for (int t = 0; t < 50; ++t)
         sampler.sample(~0ULL, lanes);
     sampler.sample(1ULL, lanes); // parks every lane but 0
 
     const std::int64_t remaining = sampler.exportLane(21);
     ASSERT_GE(remaining, 1);
-    BernoulliWordSampler hop1(0.07), hop2(0.07);
+    ClassDrawSampler hop1(0.07), hop2(0.07);
     hop1.importLane(40, remaining);
     hop2.importLane(3, hop1.exportLane(40));
     EXPECT_EQ(hop2.exportLane(3), remaining);
 
     // An unseen lane keeps exporting kLaneUnseen through hops.
-    EXPECT_EQ(hop1.exportLane(40), BernoulliWordSampler::kLaneUnseen);
-    hop1.importLane(40, BernoulliWordSampler::kLaneUnseen);
-    EXPECT_EQ(hop1.exportLane(40), BernoulliWordSampler::kLaneUnseen);
+    EXPECT_EQ(hop1.exportLane(40), ClassDrawSampler::kLaneUnseen);
+    hop1.importLane(40, ClassDrawSampler::kLaneUnseen);
+    EXPECT_EQ(hop1.exportLane(40), ClassDrawSampler::kLaneUnseen);
 }
 
 TEST(SamplerTransplant, ShadowClassLaneMovesMidSeries)
@@ -282,9 +282,9 @@ TEST(SamplerTransplant, ShadowClassLaneMovesMidSeries)
     auto run = [&](bool migrate) {
         LaneRngs lanes = familyLanes(family);
         LaneRngs pool_lanes;
-        BernoulliWordSampler primary(p_primary);
-        BernoulliWordSampler shadow(p_shadow);
-        BernoulliWordSampler pool(p_shadow);
+        ClassDrawSampler primary(p_primary);
+        ClassDrawSampler shadow(p_shadow);
+        ClassDrawSampler pool(p_shadow);
         std::vector<bool> fires;
         for (int round = 0; round < 120; ++round) {
             for (int t = 0; t < 5; ++t)
@@ -333,15 +333,15 @@ TEST(SamplerTransplant, TransplantedDrawSequenceEqualsNeverMoved)
     RngFamily family(9001);
 
     LaneRngs ref_lanes = familyLanes(family);
-    BernoulliWordSampler reference(p);
+    ClassDrawSampler reference(p);
     std::vector<bool> want;
     for (int t = 0; t < 2400; ++t)
         want.push_back((reference.sample(~0ULL, ref_lanes) >> 31) & 1);
 
     LaneRngs lanes = familyLanes(family);
-    std::array<BernoulliWordSampler, 3> hops{
-        BernoulliWordSampler(p), BernoulliWordSampler(p),
-        BernoulliWordSampler(p)};
+    std::array<ClassDrawSampler, 3> hops{
+        ClassDrawSampler(p), ClassDrawSampler(p),
+        ClassDrawSampler(p)};
     LaneRngs hop_lanes[3];
     hop_lanes[0] = lanes;
     int where = 0;
@@ -370,8 +370,8 @@ TEST(SamplerTransplant, TransplantedDrawSequenceEqualsNeverMoved)
 
 TEST(SamplerTransplant, MismatchedProbabilityDies)
 {
-    BernoulliWordSampler a(0.1);
-    BernoulliWordSampler b(0.2);
+    ClassDrawSampler a(0.1);
+    ClassDrawSampler b(0.2);
     RngFamily family(1);
     LaneRngs lanes = familyLanes(family);
     a.sample(~0ULL, lanes);

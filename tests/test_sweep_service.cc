@@ -128,6 +128,30 @@ TEST(SweepJobSpec, RejectsMalformedRequests)
     EXPECT_TRUE(SweepJobSpec::parse("kind threshold\nerrors 0 1\n", spec,
                                     error))
         << error;
+    // Co-simulation axes outside the engine's domain are rejected the
+    // same way: unchecked, each would abort a serving daemon on an
+    // engine assertion or be served as a meaningless result.
+    for (const char *axis :
+         {"bandwidths 0", "bandwidths 1 0", "memory-levels 3",
+          "memory-levels 0", "op-error 2", "op-error -0.1", "op-error nan",
+          "compute-fractions -1", "compute-fractions 1.5",
+          "fault-rates 1.5", "fault-rates -1e-3", "fault-rates inf",
+          "link-fidelities nan", "link-fidelities 1.01",
+          "delivery-threshold nan", "delivery-threshold 1.5"}) {
+        error.clear();
+        EXPECT_FALSE(SweepJobSpec::parse(
+            std::string("kind cosim\nworkload toffoli 4\n") + axis + "\n",
+            spec, error))
+            << axis;
+        EXPECT_FALSE(error.empty()) << axis;
+    }
+    // The domains' end points are valid.
+    EXPECT_TRUE(SweepJobSpec::parse(
+        "kind cosim\nworkload toffoli 4\nbandwidths 1\n"
+        "memory-levels 1 2\nop-error 0\ncompute-fractions 0 1\n"
+        "fault-rates 0 1\nlink-fidelities 0 1\ndelivery-threshold 1\n",
+        spec, error))
+        << error;
     // Comments and blank lines are fine.
     EXPECT_TRUE(SweepJobSpec::parse(
         "# request\n\nkind threshold\nerrors 1e-3 2e-3\n", spec, error))

@@ -11,16 +11,12 @@
  *
  *   determinism_gate --mode spot --engine batched
  *       [--group G] [--compaction on|off] [--fill F]
- *       [--sampling site|trace] [--threads N] [--shots S]
+ *       [--threads N] [--shots S]
  *       Single-point L1+L2 failure counts on the batched engine;
  *       identical output is required for every group width G (which
  *       also fixes how the replay carves 4-, 2- and 1-word SIMD
  *       tiles), for compaction on vs off, and for every
  *       segment-migration fill threshold F.
- *       --sampling picks the fault-sampling granularity; it is the one
- *       axis that changes the realized fault pattern (per-site vs
- *       trace-level batched draws), so runs are byte-comparable only
- *       within one sampling mode.
  *
  *   determinism_gate --mode spot --engine scalar [--shots S]
  *       The scalar reference engine's counts (self-reproducibility).
@@ -92,14 +88,13 @@ runSweep(int threads, std::size_t shots)
 
 int
 runSpotBatched(std::size_t group, bool compaction, double fill,
-               FaultSampling sampling, int threads, std::size_t shots)
+               int threads, std::size_t shots)
 {
     McRunOptions options;
     options.threads = threads;
     options.batch.groupWords = group;
     options.batch.laneCompaction = compaction;
     options.batch.migrationFillThreshold = fill;
-    options.batch.faultSampling = sampling;
     for (const int level : {1, 2}) {
         ExperimentStats stats;
         const auto rate = runLogicalExperiment(
@@ -309,8 +304,6 @@ printHelp()
         "  --compaction C     spot/batched: lane compaction on | off\n"
         "  --fill F           spot/batched: segment-migration fill "
         "threshold\n"
-        "  --sampling S       spot/batched: site | trace fault "
-        "sampling\n"
         "  --fault-rate F     interconnect: uniform link-fault rate "
         "axis\n"
         "  --purification L   interconnect: purification-level axis\n"
@@ -338,7 +331,6 @@ main(int argc, char **argv)
     std::size_t group = BatchOptions{}.groupWords;
     bool compaction = true;
     double fill = BatchOptions{}.migrationFillThreshold;
-    FaultSampling sampling = BatchOptions{}.faultSampling;
     double fault_rate = 0.0;
     int purification = 0;
     double link_fidelity = 1.0;
@@ -369,10 +361,6 @@ main(int argc, char **argv)
             compaction = std::strcmp(next(), "off") != 0;
         else if (arg == "--fill")
             fill = std::atof(next());
-        else if (arg == "--sampling")
-            sampling = std::strcmp(next(), "site") == 0
-                ? FaultSampling::SiteGeometric
-                : FaultSampling::TraceDraws;
         else if (arg == "--fault-rate")
             fault_rate = std::atof(next());
         else if (arg == "--purification")
@@ -398,8 +386,7 @@ main(int argc, char **argv)
     if (mode == "spot")
         return engine == "scalar"
             ? runSpotScalar(shots)
-            : runSpotBatched(group, compaction, fill, sampling, threads,
-                             shots);
+            : runSpotBatched(group, compaction, fill, threads, shots);
     if (mode == "crosscheck")
         return runCrosscheck(shots);
     if (mode == "interconnect")
