@@ -5,6 +5,7 @@
 
 #include "arq/lane_compaction.h"
 #include "common/logging.h"
+#include "ecc/steane.h"
 
 
 namespace qla::arq {
@@ -911,6 +912,33 @@ BatchedLogicalQubitExperiment::failureRateRange(int level,
         done += batch;
     }
     return rate;
+}
+
+BatchedLogicalQubitExperiment &
+ExperimentCache::acquire(double p, const BatchOptions &batch)
+{
+    const std::uint64_t error_bits = std::bit_cast<std::uint64_t>(p);
+    for (Slot &slot : cache_) {
+        if (slot.error_bits == error_bits
+            && slot.experiment->options() == batch) {
+            ++replays_;
+            return *slot.experiment;
+        }
+    }
+    Slot *slot = nullptr;
+    if (cache_.size() < slots_) {
+        slot = &cache_.emplace_back();
+    } else {
+        slot = &cache_[next_evict_];
+        next_evict_ = (next_evict_ + 1) % slots_;
+        slot->experiment.reset(); // free before recording the next
+    }
+    slot->error_bits = error_bits;
+    slot->experiment = std::make_unique<BatchedLogicalQubitExperiment>(
+        ecc::steaneCode(), NoiseParameters::swept(p), LayoutDistances{},
+        16, batch);
+    ++recordings_;
+    return *slot->experiment;
 }
 
 } // namespace qla::arq

@@ -328,6 +328,48 @@ class BatchedLogicalQubitExperiment
     std::unique_ptr<SegmentPool> twin_pool_;              // lazy
 };
 
+/**
+ * Record/replay cache of Figure-7 experiments for one worker.
+ * Constructing a BatchedLogicalQubitExperiment records the level-1/2
+ * frame traces of one noise point -- the once-per-configuration cost --
+ * so a worker keeps a few and replays them across the chunks and levels
+ * of a point (and, in the sweep service, across jobs). Keyed on the bit
+ * pattern of the swept error p (NoiseParameters::swept) plus the
+ * BatchOptions; round-robin eviction over a fixed slot count, since an
+ * experiment holds several MB of frames. Replayed state is the recorded
+ * state, so a hit cannot change a result byte. Not thread-safe: the
+ * engine mutates per-run scratch, so each worker owns its cache.
+ */
+class ExperimentCache
+{
+  public:
+    explicit ExperimentCache(std::size_t slots) : slots_(slots) {}
+
+    /** The experiment for (@p p, @p batch), recording it on first use;
+     *  the reference is valid until the next acquire. */
+    BatchedLogicalQubitExperiment &acquire(double p,
+                                           const BatchOptions &batch);
+
+    /** Experiments constructed (traces recorded). */
+    std::uint64_t recordings() const { return recordings_; }
+    /** Cache hits (recorded traces replayed). */
+    std::uint64_t replays() const { return replays_; }
+    void resetCounters() { recordings_ = replays_ = 0; }
+
+  private:
+    struct Slot
+    {
+        std::uint64_t error_bits = 0;
+        std::unique_ptr<BatchedLogicalQubitExperiment> experiment;
+    };
+
+    std::size_t slots_;
+    std::vector<Slot> cache_;
+    std::size_t next_evict_ = 0;
+    std::uint64_t recordings_ = 0;
+    std::uint64_t replays_ = 0;
+};
+
 } // namespace qla::arq
 
 #endif // QLA_ARQ_BATCHED_MONTE_CARLO_H

@@ -22,6 +22,9 @@ q16(std::size_t q)
 std::uint8_t
 NoiseClassTable::classOf(double p)
 {
+    // NaN would never match a stored class and overflow the table.
+    qla_assert(p >= 0.0 && p <= 1.0, "noise class probability ", p,
+               " is not in [0, 1]");
     for (std::size_t i = 0; i < probs_.size(); ++i)
         if (probs_[i] == p)
             return static_cast<std::uint8_t>(i);
@@ -33,6 +36,8 @@ NoiseClassTable::classOf(double p)
 std::uint8_t
 NoiseClassTable::newClass(double p)
 {
+    qla_assert(p >= 0.0 && p <= 1.0, "noise class probability ", p,
+               " is not in [0, 1]");
     qla_assert(probs_.size() < 0xff, "noise class table overflow");
     probs_.push_back(p);
     return static_cast<std::uint8_t>(probs_.size() - 1);

@@ -1,12 +1,9 @@
 #include "arq/monte_carlo.h"
 
-#include <bit>
-#include <cstdio>
-#include <string>
-
 #include <algorithm>
-#include <array>
+#include <cstdio>
 #include <memory>
+#include <string>
 
 #include "arq/batched_monte_carlo.h"
 #include "common/logging.h"
@@ -532,19 +529,6 @@ LogicalQubitExperiment::failureRate(int level, std::size_t shots,
 
 namespace {
 
-/**
- * Scheduler chunk size: whole shot groups, so every chunk's word
- * grouping matches the grouping of a single uninterrupted run.
- */
-std::size_t
-alignedChunkShots(const McRunOptions &options)
-{
-    const std::size_t capacity = options.batch.groupWords * kBatchLanes;
-    if (options.chunkShots <= capacity)
-        return capacity;
-    return options.chunkShots - options.chunkShots % capacity;
-}
-
 /** Per-chunk partial result, reduced in fixed chunk order. */
 struct ChunkResult
 {
@@ -552,38 +536,19 @@ struct ChunkResult
     ExperimentStats stats;
 };
 
-/**
- * Small per-worker experiment cache keyed by sweep point (round-robin
- * eviction): an experiment holds several MB of frames and sampler
- * rings, so workers keep only a few.
- */
-struct WorkerCache
+/** Append task @p task's aligned shot chunks to @p chunks. */
+void
+chunkTask(std::vector<ShotChunk> &chunks, std::size_t task,
+          std::size_t shots, std::size_t chunk_shots,
+          std::size_t group_words)
 {
-    static constexpr std::size_t kSlots = 3;
-    std::array<std::size_t, kSlots> point{};
-    std::array<std::unique_ptr<BatchedLogicalQubitExperiment>, kSlots>
-        experiment;
-    std::size_t next_evict = 0;
-};
-
-/** One scheduler job: a contiguous shot range of one task. */
-struct ShotChunk
-{
-    std::size_t task = 0;
-    std::uint64_t firstShot = 0;
-    std::size_t count = 0;
-};
-
-std::vector<ShotChunk>
-chunkTasks(std::size_t num_tasks, std::size_t shots,
-           std::size_t chunk_shots)
-{
-    std::vector<ShotChunk> chunks;
-    for (std::size_t task = 0; task < num_tasks; ++task)
-        for (std::size_t first = 0; first < shots; first += chunk_shots)
-            chunks.push_back({task, first,
-                              std::min(chunk_shots, shots - first)});
-    return chunks;
+    const std::size_t capacity = group_words * kBatchLanes;
+    const std::size_t aligned = chunk_shots <= capacity
+        ? capacity
+        : chunk_shots - chunk_shots % capacity;
+    for (std::size_t first = 0; first < shots; first += aligned)
+        chunks.push_back({chunks.size(), task, first,
+                          std::min(aligned, shots - first)});
 }
 
 } // namespace
@@ -593,8 +558,9 @@ runLogicalExperiment(const ecc::CssCode &code, const NoiseParameters &noise,
                      int level, std::size_t shots, std::uint64_t seed,
                      const McRunOptions &options, ExperimentStats *stats)
 {
-    const std::vector<ShotChunk> chunks
-        = chunkTasks(1, shots, alignedChunkShots(options));
+    std::vector<ShotChunk> chunks;
+    chunkTask(chunks, 0, shots, options.chunkShots,
+              options.batch.groupWords);
     std::vector<ChunkResult> results(chunks.size());
 
     sim::ShotScheduler scheduler(options.threads);
@@ -607,7 +573,7 @@ runLogicalExperiment(const ecc::CssCode &code, const NoiseParameters &noise,
                 code, noise, LayoutDistances{}, 16, options.batch);
         const ShotChunk &chunk = chunks[job];
         results[job].rate = experiment->failureRateRange(
-            level, chunk.firstShot, chunk.count, seed,
+            level, chunk.firstShot, chunk.shotCount, seed,
             stats ? &results[job].stats : nullptr);
     });
 
@@ -622,72 +588,39 @@ runLogicalExperiment(const ecc::CssCode &code, const NoiseParameters &noise,
     return rate;
 }
 
-std::vector<ThresholdPoint>
-thresholdSweep(const std::vector<double> &physical_errors,
-               std::size_t shots, std::uint64_t seed,
-               const McRunOptions &options)
+ThresholdSweepPlan
+planThresholdSweep(const std::vector<double> &physical_errors,
+                   std::size_t shots, std::uint64_t seed,
+                   std::size_t chunk_shots, std::size_t group_words)
 {
-    // Task seeds derive exactly as in the sequential sweep (one seeder
-    // draw per task in point order), so the parallel sweep reproduces
-    // its results bit for bit.
-    struct SweepTask
-    {
-        std::size_t point;
-        int level;
-        double p;
-        std::uint64_t seed;
-    };
-    std::vector<SweepTask> tasks;
+    // One seeder draw per task in point order: seeds, and so every
+    // shot, do not depend on the chunking.
+    ThresholdSweepPlan plan;
     Rng seeder(seed);
-    for (std::size_t i = 0; i < physical_errors.size(); ++i) {
-        const double p = physical_errors[i];
-        tasks.push_back({i, 1, p, seeder.next64()});
-        tasks.push_back({i, 2, p, seeder.next64()});
-    }
+    for (std::size_t i = 0; i < physical_errors.size(); ++i)
+        for (const int level : {1, 2})
+            plan.tasks.push_back(
+                {i, level, physical_errors[i], seeder.next64()});
+    for (std::size_t t = 0; t < plan.tasks.size(); ++t)
+        chunkTask(plan.chunks, t, shots, chunk_shots, group_words);
+    return plan;
+}
 
-    const std::vector<ShotChunk> chunks
-        = chunkTasks(tasks.size(), shots, alignedChunkShots(options));
-    std::vector<ChunkResult> results(chunks.size());
-
-    sim::ShotScheduler scheduler(options.threads);
-    // Construction records the tile traces, so a worker reuses its
-    // cached experiment across levels and chunks of the same point;
-    // block distribution means a worker mostly walks one point's
-    // chunks before stealing elsewhere, so a few slots suffice.
-    std::vector<WorkerCache> cache(scheduler.threadCount());
-    scheduler.run(chunks.size(), [&](std::size_t job, int worker) {
-        const ShotChunk &chunk = chunks[job];
-        const SweepTask &task = tasks[chunk.task];
-        WorkerCache &wc = cache[worker];
-        BatchedLogicalQubitExperiment *experiment = nullptr;
-        for (std::size_t s = 0; s < WorkerCache::kSlots; ++s) {
-            if (wc.experiment[s] && wc.point[s] == task.point) {
-                experiment = wc.experiment[s].get();
-                break;
-            }
-        }
-        if (!experiment) {
-            const std::size_t slot = wc.next_evict;
-            wc.next_evict = (wc.next_evict + 1) % WorkerCache::kSlots;
-            wc.point[slot] = task.point;
-            wc.experiment[slot]
-                = std::make_unique<BatchedLogicalQubitExperiment>(
-                    ecc::steaneCode(), NoiseParameters::swept(task.p),
-                    LayoutDistances{}, 16, options.batch);
-            experiment = wc.experiment[slot].get();
-        }
-        results[job].rate = experiment->failureRateRange(
-            task.level, chunk.firstShot, chunk.count, task.seed, nullptr);
-    });
-
+std::vector<ThresholdPoint>
+reduceThresholdSweep(const std::vector<SweepTask> &tasks,
+                     const std::vector<ShotChunk> &chunks,
+                     const std::vector<sim::RateStat> &chunk_rates)
+{
     std::vector<sim::RateStat> task_rates(tasks.size());
     for (std::size_t j = 0; j < chunks.size(); ++j)
-        task_rates[chunks[j].task].merge(results[j].rate);
+        task_rates[chunks[j].task].merge(chunk_rates[j]);
 
-    std::vector<ThresholdPoint> points(physical_errors.size());
+    std::vector<ThresholdPoint> points;
     for (std::size_t t = 0; t < tasks.size(); ++t) {
+        if (tasks[t].point >= points.size())
+            points.resize(tasks[t].point + 1);
         ThresholdPoint &point = points[tasks[t].point];
-        point.physicalError = tasks[t].p;
+        point.physicalError = tasks[t].physicalError;
         const sim::RateStat &rate = task_rates[t];
         if (tasks[t].level == 1) {
             point.level1Failure = rate.rate();
@@ -698,6 +631,47 @@ thresholdSweep(const std::vector<double> &physical_errors,
         }
     }
     return points;
+}
+
+std::string
+formatThresholdSweep(const std::vector<ThresholdPoint> &points)
+{
+    std::string out;
+    for (const ThresholdPoint &point : points)
+        appendf(out, "p=%.17g L1=%.17g +- %.17g L2=%.17g +- %.17g\n",
+                point.physicalError, point.level1Failure,
+                point.level1Error, point.level2Failure,
+                point.level2Error);
+    appendf(out, "threshold=%.17g\n", estimateThreshold(points));
+    return out;
+}
+
+std::vector<ThresholdPoint>
+thresholdSweep(const std::vector<double> &physical_errors,
+               std::size_t shots, std::uint64_t seed,
+               const McRunOptions &options)
+{
+    const ThresholdSweepPlan plan
+        = planThresholdSweep(physical_errors, shots, seed,
+                             options.chunkShots, options.batch.groupWords);
+    std::vector<sim::RateStat> rates(plan.chunks.size());
+
+    sim::ShotScheduler scheduler(options.threads);
+    // Block distribution means a worker mostly walks one point's chunks
+    // (both levels) before stealing elsewhere, so a few slots suffice.
+    std::vector<ExperimentCache> cache;
+    for (int w = 0; w < scheduler.threadCount(); ++w)
+        cache.emplace_back(3);
+    scheduler.run(plan.chunks.size(), [&](std::size_t job, int worker) {
+        const ShotChunk &chunk = plan.chunks[job];
+        const SweepTask &task = plan.tasks[chunk.task];
+        rates[job] = cache[worker]
+                         .acquire(task.physicalError, options.batch)
+                         .failureRateRange(task.level, chunk.firstShot,
+                                           chunk.shotCount, task.seed,
+                                           nullptr);
+    });
+    return reduceThresholdSweep(plan.tasks, plan.chunks, rates);
 }
 
 std::vector<ThresholdPoint>

@@ -21,6 +21,7 @@
 #define QLA_ARQ_MONTE_CARLO_H
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/batched_sampler.h"
@@ -255,6 +256,8 @@ struct BatchOptions
      * laneCompaction; results are bit-identical for every value.
      */
     double migrationFillThreshold = 0.25;
+
+    bool operator==(const BatchOptions &) const = default;
 };
 
 /** Options for the parallel Monte-Carlo entry points. */
@@ -280,6 +283,61 @@ struct ThresholdPoint
     double level2Failure = 0.0;
     double level2Error = 0.0;
 };
+
+/** One (point, level) Monte-Carlo task of a threshold sweep. */
+struct SweepTask
+{
+    std::size_t point = 0;      ///< Index into the swept error list.
+    int level = 1;              ///< Recursion level (1 or 2).
+    double physicalError = 0.0; ///< Swept component failure rate.
+    std::uint64_t seed = 0;     ///< Task seed (one seeder draw).
+};
+
+/** One scheduler job: the shot range [firstShot, firstShot +
+ *  shotCount) of one task. */
+struct ShotChunk
+{
+    std::size_t index = 0; ///< Position in the plan's chunk order.
+    std::size_t task = 0;
+    std::uint64_t firstShot = 0;
+    std::size_t shotCount = 0;
+};
+
+/** The deterministic decomposition of a threshold sweep. */
+struct ThresholdSweepPlan
+{
+    std::vector<SweepTask> tasks;
+    std::vector<ShotChunk> chunks; ///< Reduction order.
+};
+
+/**
+ * Decompose a sweep into (point, level) tasks -- seeds drawn from one
+ * Rng(@p seed), one draw per task in point order -- and slice every
+ * task into shot chunks of @p chunk_shots aligned to whole shot groups
+ * (@p group_words x 64 lanes): smaller chunks round up to one group,
+ * larger ones down to a whole number of groups, so every chunk's word
+ * grouping matches a single uninterrupted run. A pure function of its
+ * arguments; the sweep service partitions its jobs through it.
+ */
+ThresholdSweepPlan planThresholdSweep(
+    const std::vector<double> &physical_errors, std::size_t shots,
+    std::uint64_t seed, std::size_t chunk_shots, std::size_t group_words);
+
+/**
+ * Fixed-order reduction of a plan's per-chunk failure counts
+ * (@p chunk_rates[i] belongs to chunks[i]) into sweep points.
+ */
+std::vector<ThresholdPoint> reduceThresholdSweep(
+    const std::vector<SweepTask> &tasks,
+    const std::vector<ShotChunk> &chunks,
+    const std::vector<sim::RateStat> &chunk_rates);
+
+/**
+ * The sweep's full-precision result text: one "p=... L1=... +- ...
+ * L2=... +- ..." line per point and a closing "threshold=..." line
+ * (%.17g throughout, so outputs byte-diff exactly).
+ */
+std::string formatThresholdSweep(const std::vector<ThresholdPoint> &points);
 
 /**
  * Sweep the component failure rate (movement fixed at the expected

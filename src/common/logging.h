@@ -32,6 +32,10 @@ void warnImpl(const char *file, int line, const std::string &message);
 /** Print a status message to stderr. */
 void informImpl(const std::string &message);
 
+/** Append printf-style formatted text to @p out (result-text output). */
+void appendf(std::string &out, const char *format, ...)
+    __attribute__((format(printf, 2, 3)));
+
 namespace detail {
 
 /** Fold a variadic argument pack into one string via operator<<. */

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 
+#include "common/logging.h"
 #include "sim/shot_scheduler.h"
 
 namespace qla::network {
@@ -965,12 +966,26 @@ ProgramCoSimulator::run(const WindowProbeFn &probe)
     return engine.run();
 }
 
+CoSimConfig
+CoSimSweepConfig::pointConfig(const CoSimSweepPoint &point) const
+{
+    CoSimConfig cosim = base;
+    cosim.bandwidth = point.bandwidth;
+    cosim.seed = point.seed;
+    cosim.linkFaults = base.linkFaults.atRate(point.faultRate);
+    cosim.fidelity.elementaryFidelity = point.linkFidelity;
+    cosim.fidelity.purificationLevel = point.purificationLevel;
+    cosim.memory.computeFraction = point.computeFraction;
+    cosim.memory.memoryCodeLevel = point.memoryLevel;
+    return cosim;
+}
+
 std::vector<CoSimSweepPoint>
-runCoSimSweep(const std::vector<ProgramWorkload> &workloads,
-              const CoSimSweepConfig &config)
+enumerateCoSimSweep(std::size_t workload_count,
+                    const CoSimSweepConfig &config)
 {
     std::vector<CoSimSweepPoint> points;
-    for (std::size_t w = 0; w < workloads.size(); ++w)
+    for (std::size_t w = 0; w < workload_count; ++w)
       for (const int bandwidth : config.bandwidths)
         for (const double fault_rate : config.faultRates)
           for (const int level : config.purificationLevels)
@@ -989,20 +1004,22 @@ runCoSimSweep(const std::vector<ProgramWorkload> &workloads,
                       point.seed = seed;
                       points.push_back(point);
                   }
+    return points;
+}
+
+std::vector<CoSimSweepPoint>
+runCoSimSweep(const std::vector<ProgramWorkload> &workloads,
+              const CoSimSweepConfig &config)
+{
+    std::vector<CoSimSweepPoint> points
+        = enumerateCoSimSweep(workloads.size(), config);
     if (points.empty())
         return points;
     sim::ShotScheduler scheduler(config.threads);
     scheduler.run(points.size(), [&](std::size_t job, int) {
         CoSimSweepPoint &point = points[job];
-        CoSimConfig cosim = config.base;
-        cosim.bandwidth = point.bandwidth;
-        cosim.seed = point.seed;
-        cosim.linkFaults = config.base.linkFaults.atRate(point.faultRate);
-        cosim.fidelity.elementaryFidelity = point.linkFidelity;
-        cosim.fidelity.purificationLevel = point.purificationLevel;
-        cosim.memory.computeFraction = point.computeFraction;
-        cosim.memory.memoryCodeLevel = point.memoryLevel;
-        ProgramCoSimulator simulator(workloads[point.workload], cosim);
+        ProgramCoSimulator simulator(workloads[point.workload],
+                                     config.pointConfig(point));
         point.report = simulator.run();
     });
     return points;
@@ -1034,6 +1051,103 @@ reduceCoSimSweep(const std::vector<CoSimSweepPoint> &points)
             static_cast<double>(point.report.memEvictions));
     }
     return stats;
+}
+
+std::string
+formatCoSimSweep(const std::vector<CoSimSweepPoint> &points)
+{
+    bool noisy = false;
+    bool hierarchy = false;
+    for (const CoSimSweepPoint &point : points) {
+        noisy = noisy || point.faultRate > 0.0
+            || point.purificationLevel > 0 || point.linkFidelity < 1.0;
+        hierarchy = hierarchy || point.computeFraction < 1.0;
+    }
+
+    std::string out;
+    for (const CoSimSweepPoint &point : points) {
+        const CoSimReport &r = point.report;
+        appendf(out,
+                "w=%zu bw=%d seed=%llu windows=%llu warmup=%llu "
+                "stallW=%llu gatesStalled=%llu req=%llu mesh=%llu "
+                "local=%llu deferred=%llu drift=%llu reroutes=%llu "
+                "util=%.17g route=%.17g",
+                point.workload, point.bandwidth,
+                (unsigned long long)point.seed,
+                (unsigned long long)r.windows,
+                (unsigned long long)r.warmupWindows,
+                (unsigned long long)r.stallWindows,
+                (unsigned long long)r.gatesStalled,
+                (unsigned long long)r.pairsRequested,
+                (unsigned long long)r.pairsRoutedOnMesh,
+                (unsigned long long)r.pairsLocal,
+                (unsigned long long)r.deferredPairWindows,
+                (unsigned long long)r.driftMoves,
+                (unsigned long long)r.backoffReroutes, r.utilization,
+                r.averageRouteLength);
+        if (noisy)
+            appendf(out,
+                    " fr=%.17g lvl=%d ef=%.17g dropped=%llu lost=%llu "
+                    "rej=%llu aband=%llu demAband=%llu degraded=%llu "
+                    "retries=%llu backoffW=%llu penaltyW=%llu "
+                    "fidMean=%.17g fidMin=%.17g resid=%.17g",
+                    point.faultRate, point.purificationLevel,
+                    point.linkFidelity,
+                    (unsigned long long)r.pairsDropped,
+                    (unsigned long long)r.pairsLostInTransit,
+                    (unsigned long long)r.pairsRejectedFidelity,
+                    (unsigned long long)r.pairsAbandoned,
+                    (unsigned long long)r.demandsAbandoned,
+                    (unsigned long long)r.gatesDegraded,
+                    (unsigned long long)r.retryAttempts,
+                    (unsigned long long)r.retryBackoffWindows,
+                    (unsigned long long)r.fallbackPenaltyWindows,
+                    r.deliveredFidelityMean(), r.deliveredFidelityMin,
+                    r.residualEprError());
+        if (hierarchy)
+            appendf(out,
+                    " cf=%.17g ml=%d touches=%llu hits=%llu miss=%llu "
+                    "inplace=%llu evict=%llu fetchReq=%llu wbReq=%llu "
+                    "convW=%llu cTiles=%llu mTiles=%llu",
+                    point.computeFraction, point.memoryLevel,
+                    (unsigned long long)r.operandTouches,
+                    (unsigned long long)r.memHits,
+                    (unsigned long long)r.memMisses,
+                    (unsigned long long)r.memInPlaceMisses,
+                    (unsigned long long)r.memEvictions,
+                    (unsigned long long)r.fetchPairsRequested,
+                    (unsigned long long)r.writebackPairsRequested,
+                    (unsigned long long)r.missConversionWindows,
+                    (unsigned long long)r.computeTiles,
+                    (unsigned long long)r.memoryTiles);
+        out += '\n';
+    }
+
+    const CoSimSweepStats stats = reduceCoSimSweep(points);
+    appendf(out,
+            "makespan_mean=%.17g util_mean=%.17g stall_mean=%.17g "
+            "stalled_runs=%llu/%llu",
+            stats.makespanWindows.mean(), stats.utilization.mean(),
+            stats.stallWindows.mean(),
+            (unsigned long long)stats.stalledRuns.successes(),
+            (unsigned long long)stats.stalledRuns.trials());
+    if (noisy)
+        appendf(out,
+                " dropped_mean=%.17g abandoned_mean=%.17g "
+                "retries_mean=%.17g resid_mean=%.17g "
+                "degraded_runs=%llu/%llu",
+                stats.droppedPairs.mean(), stats.abandonedPairs.mean(),
+                stats.retryAttempts.mean(),
+                stats.residualEprError.mean(),
+                (unsigned long long)stats.degradedRuns.successes(),
+                (unsigned long long)stats.degradedRuns.trials());
+    if (hierarchy)
+        appendf(out,
+                " miss_mean=%.17g missrate_mean=%.17g evict_mean=%.17g",
+                stats.cacheMisses.mean(), stats.cacheMissRate.mean(),
+                stats.cacheEvictions.mean());
+    out += '\n';
+    return out;
 }
 
 } // namespace qla::network

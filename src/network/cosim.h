@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "arch/region.h"
@@ -366,6 +367,10 @@ struct CoSimSweepConfig
     std::vector<std::uint64_t> seeds = {1};
     /** Worker threads (sim::resolveThreadCount semantics). */
     int threads = 0;
+
+    /** The run configuration of @p point: base with the point's axis
+     *  values applied. */
+    CoSimConfig pointConfig(const CoSimSweepPoint &point) const;
 };
 
 /** Fixed-order reduction over a sweep's points. */
@@ -388,10 +393,17 @@ struct CoSimSweepStats
 };
 
 /**
- * Run every (workload, bandwidth, fault rate, purification level, link
- * fidelity, compute fraction, memory level, seed) combination on the
- * shot scheduler. Points come back
- * in fixed lexicographic job order (axes nested in that order) and each
+ * The sweep's points, reports empty: every (workload, bandwidth, fault
+ * rate, purification level, link fidelity, compute fraction, memory
+ * level, seed) combination in fixed lexicographic job order (axes
+ * nested in that order, workloads outermost). The sweep service
+ * partitions co-simulation jobs through it.
+ */
+std::vector<CoSimSweepPoint> enumerateCoSimSweep(
+    std::size_t workload_count, const CoSimSweepConfig &config);
+
+/**
+ * Run every point of enumerateCoSimSweep on the shot scheduler. Each
  * job's result depends only on its own parameters, so the sweep is
  * bit-identical for every thread count (the repo determinism contract;
  * enforced by tools/determinism_gate --mode interconnect).
@@ -403,6 +415,16 @@ std::vector<CoSimSweepPoint> runCoSimSweep(
 /** Reduce sweep points in index order (deterministic merge). */
 CoSimSweepStats reduceCoSimSweep(
     const std::vector<CoSimSweepPoint> &points);
+
+/**
+ * The sweep's full-precision result text: one line per point, then the
+ * reduceCoSimSweep line (%.17g doubles, so outputs byte-diff exactly).
+ * When any point has a noisy axis value (fault rate > 0, purification
+ * level > 0 or link fidelity < 1) every line adds the degradation
+ * ledger; when any point is split (compute fraction < 1) every line
+ * adds the cache ledger.
+ */
+std::string formatCoSimSweep(const std::vector<CoSimSweepPoint> &points);
 
 } // namespace qla::network
 

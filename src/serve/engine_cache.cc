@@ -1,71 +1,10 @@
 #include "serve/engine_cache.h"
 
-#include <cstring>
-
 #include "apps/qcla.h"
 #include "apps/qft.h"
 #include "apps/toffoli.h"
-#include "ecc/steane.h"
 
 namespace qla::serve {
-
-namespace {
-
-std::uint64_t
-doubleBits(double value)
-{
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(value));
-    std::memcpy(&bits, &value, sizeof(bits));
-    return bits;
-}
-
-} // namespace
-
-std::shared_ptr<arq::BatchedLogicalQubitExperiment>
-ExperimentCache::acquire(double p, std::size_t group_words)
-{
-    const Key key{doubleBits(p), group_words};
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto found = cache_.find(key);
-    if (found != cache_.end()) {
-        ++counters_.traceReplays;
-        return found->second;
-    }
-
-    if (cache_.size() >= slots_) {
-        cache_.erase(insertionOrder_[nextEvict_]);
-        insertionOrder_[nextEvict_] = key;
-        nextEvict_ = (nextEvict_ + 1) % slots_;
-    } else {
-        insertionOrder_.push_back(key);
-    }
-    arq::BatchOptions batch;
-    batch.groupWords = group_words;
-    // Same construction as thresholdSweep's worker cache: recording the
-    // level-1/2 traces for this noise point happens here, once.
-    auto experiment
-        = std::make_shared<arq::BatchedLogicalQubitExperiment>(
-            ecc::steaneCode(), arq::NoiseParameters::swept(p),
-            arq::LayoutDistances{}, 16, batch);
-    ++counters_.traceRecordings;
-    cache_[key] = experiment;
-    return experiment;
-}
-
-CacheCounters
-ExperimentCache::counters() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return counters_;
-}
-
-void
-ExperimentCache::resetCounters()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    counters_ = CacheCounters{};
-}
 
 network::ProgramWorkload
 lowerWorkload(const WorkloadSpec &spec)

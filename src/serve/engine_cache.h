@@ -4,19 +4,19 @@
  *
  * Recording is the expensive, once-per-configuration work: building a
  * BatchedLogicalQubitExperiment records the level-1/level-2 frame
- * traces for one noise point, and constructing a ProgramWorkload
- * lowers a circuit to its logical-gate DAG. Both are pure functions of
+ * traces for one noise point (cached per worker by arq::
+ * ExperimentCache), and constructing a ProgramWorkload lowers a circuit
+ * to its logical-gate DAG (cached here). Both are pure functions of
  * their configuration, so the service caches them and replays on
  * repeat queries -- a warm-cache sweep re-simulates shots against the
  * recorded traces without re-recording them (the bench fixture
  * bench_sweep_service.cc measures exactly this cold-record vs
  * warm-replay gap).
  *
- * Cache keys are exact: the experiment cache keys on the bit pattern
- * of the swept physical error plus the engine group width, the
- * workload cache on the WorkloadSpec token. Replayed state is the
- * recorded state -- cache hits cannot change a result byte, which the
- * warm-vs-cold identity test in tests/test_sweep_service.cc asserts.
+ * Cache keys are exact: the workload cache keys on the WorkloadSpec
+ * token. Replayed state is the recorded state -- cache hits cannot
+ * change a result byte, which the warm-vs-cold identity test in
+ * tests/test_sweep_service.cc asserts.
  */
 
 #ifndef QLA_SERVE_ENGINE_CACHE_H
@@ -28,7 +28,6 @@
 #include <mutex>
 #include <string>
 
-#include "arq/batched_monte_carlo.h"
 #include "network/program_workload.h"
 #include "serve/job_spec.h"
 
@@ -41,52 +40,6 @@ struct CacheCounters
     std::uint64_t traceReplays = 0;    ///< Experiment cache hits.
     std::uint64_t workloadLowerings = 0; ///< Circuits lowered.
     std::uint64_t workloadReplays = 0;   ///< Workload cache hits.
-};
-
-/**
- * Cache of recorded frame-trace experiments, keyed by noise point.
- * Thread-safe; experiments are handed out as shared_ptr and used
- * under the caller's own lock discipline (one worker at a time per
- * experiment -- the runner gives each worker its own cache instance,
- * and the service reuses those instances across jobs so a repeated
- * query replays the recorded traces).
- */
-class ExperimentCache
-{
-  public:
-    /** @p slots bounds resident experiments (round-robin eviction,
-     *  like thresholdSweep's per-worker WorkerCache). */
-    explicit ExperimentCache(std::size_t slots = 8) : slots_(slots) {}
-
-    /** The recorded experiment for (physicalError p, groupWords),
-     *  recording it on first use. */
-    std::shared_ptr<arq::BatchedLogicalQubitExperiment>
-    acquire(double p, std::size_t group_words);
-
-    CacheCounters counters() const;
-    void resetCounters();
-
-  private:
-    struct Key
-    {
-        std::uint64_t errorBits = 0; ///< Bit pattern of p (exact key).
-        std::uint64_t groupWords = 0;
-        bool operator<(const Key &other) const
-        {
-            return errorBits != other.errorBits
-                ? errorBits < other.errorBits
-                : groupWords < other.groupWords;
-        }
-    };
-
-    mutable std::mutex mutex_;
-    std::size_t slots_;
-    std::map<Key,
-             std::shared_ptr<arq::BatchedLogicalQubitExperiment>>
-        cache_;
-    std::vector<Key> insertionOrder_; ///< Round-robin eviction queue.
-    std::size_t nextEvict_ = 0;
-    CacheCounters counters_;
 };
 
 /** Cache of lowered program workloads, keyed by WorkloadSpec token. */

@@ -99,27 +99,6 @@ struct CoSimJobParams
     double deliveryThreshold = 0.0;
     /** Below-threshold retries per demand. */
     int retryBudget = 3;
-
-    bool noisy() const
-    {
-        for (double rate : faultRates)
-            if (rate > 0.0)
-                return true;
-        for (int level : purificationLevels)
-            if (level > 0)
-                return true;
-        for (double fidelity : linkFidelities)
-            if (fidelity < 1.0)
-                return true;
-        return false;
-    }
-    bool hierarchical() const
-    {
-        for (double fraction : computeFractions)
-            if (fraction < 1.0)
-                return true;
-        return false;
-    }
 };
 
 /** One sweep job: exactly one of the parameter sets is active. */

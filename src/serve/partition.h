@@ -4,11 +4,11 @@
  *
  * A job decomposes into an ordered chunk list that is a pure function
  * of its spec -- the same list on every machine, every run, every
- * worker count. Threshold jobs split into (point, level) tasks with
- * seeds derived exactly as arq::thresholdSweep derives them (one
- * seeder draw per task in point order), each task sliced into aligned
- * shot-range chunks; co-simulation jobs enumerate their axis product
- * in network::runCoSimSweep's nesting order, one chunk per point.
+ * worker count. The decomposition is the engine's own: threshold jobs
+ * take arq::planThresholdSweep's (point, level) tasks and aligned
+ * shot-range chunks, co-simulation jobs take network::
+ * enumerateCoSimSweep's points, one chunk per point. So a served job
+ * runs exactly the tasks of the in-process sweep, in the same order.
  *
  * The chunk index is the unit of everything downstream: checkpoints
  * record per-chunk partials by index, shards own the round-robin
@@ -20,64 +20,31 @@
 #ifndef QLA_SERVE_PARTITION_H
 #define QLA_SERVE_PARTITION_H
 
-#include <cstdint>
 #include <vector>
 
+#include "arq/monte_carlo.h"
+#include "network/cosim.h"
 #include "serve/job_spec.h"
 
 namespace qla::serve {
-
-/** One (point, level) Monte-Carlo task of a threshold job. */
-struct ThresholdTask
-{
-    std::size_t point = 0;    ///< Index into physicalErrors.
-    int level = 1;            ///< Recursion level (1 or 2).
-    double physicalError = 0; ///< Swept component failure rate.
-    std::uint64_t seed = 0;   ///< Derived task seed (thresholdSweep
-                              ///< seeder order).
-};
-
-/** One (workload, config-point, seed) run of a co-simulation job. */
-struct CoSimPointTask
-{
-    std::size_t workload = 0;
-    int bandwidth = 0;
-    double faultRate = 0.0;
-    int purificationLevel = 0;
-    double linkFidelity = 1.0;
-    double computeFraction = 1.0;
-    int memoryLevel = 1;
-    std::uint64_t seed = 0;
-};
 
 /**
  * One schedulable, checkpointable unit. Threshold jobs: a shot range
  * [firstShot, firstShot + shotCount) of tasks[task]. CoSim jobs: the
  * whole run points[task] (firstShot/shotCount unused).
  */
-struct SweepChunk
-{
-    std::size_t index = 0; ///< Position in the job's chunk order.
-    std::size_t task = 0;  ///< Task (threshold) or point (cosim) index.
-    std::uint64_t firstShot = 0;
-    std::size_t shotCount = 0;
-};
+using SweepChunk = arq::ShotChunk;
 
 /** The full deterministic decomposition of one job. */
 struct JobPartition
 {
-    std::vector<ThresholdTask> tasks;   ///< Threshold jobs only.
-    std::vector<CoSimPointTask> points; ///< CoSim jobs only.
-    std::vector<SweepChunk> chunks;     ///< Ascending index order.
+    std::vector<arq::SweepTask> tasks; ///< Threshold jobs only.
+    /** CoSim jobs only: the sweep's points (reports empty) and the
+     *  sweep configuration their run configs derive from. */
+    std::vector<network::CoSimSweepPoint> points;
+    network::CoSimSweepConfig cosim;
+    std::vector<SweepChunk> chunks; ///< Ascending index order.
 };
-
-/**
- * Chunk shot count after alignment to whole shot groups (groupWords x
- * 64 lanes), exactly as arq's alignedChunkShots sizes scheduler jobs:
- * chunks below one group's capacity round up to it, larger chunks
- * round down to a whole number of groups.
- */
-std::size_t alignedChunkShots(const ThresholdJobParams &params);
 
 /** Decompose @p spec; pure function of the spec. */
 JobPartition partitionJob(const SweepJobSpec &spec);

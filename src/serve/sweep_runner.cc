@@ -1,7 +1,5 @@
 #include "serve/sweep_runner.h"
 
-#include <algorithm>
-#include <cstdarg>
 #include <cstdio>
 #include <map>
 #include <mutex>
@@ -13,22 +11,21 @@
 
 namespace qla::serve {
 
-ExperimentCache &
+arq::ExperimentCache &
 SweepCaches::workerCache(std::size_t worker)
 {
     qla_assert(worker < perWorkerExperiments.size(),
                "no experiment cache for worker ", worker);
-    return *perWorkerExperiments[worker];
+    return perWorkerExperiments[worker];
 }
 
 CacheCounters
 SweepCaches::counters() const
 {
     CacheCounters total = workloads.counters();
-    for (const auto &cache : perWorkerExperiments) {
-        const CacheCounters c = cache->counters();
-        total.traceRecordings += c.traceRecordings;
-        total.traceReplays += c.traceReplays;
+    for (const arq::ExperimentCache &cache : perWorkerExperiments) {
+        total.traceRecordings += cache.recordings();
+        total.traceReplays += cache.replays();
     }
     return total;
 }
@@ -37,182 +34,11 @@ void
 SweepCaches::resetCounters()
 {
     workloads.resetCounters();
-    for (auto &cache : perWorkerExperiments)
-        cache->resetCounters();
+    for (arq::ExperimentCache &cache : perWorkerExperiments)
+        cache.resetCounters();
 }
 
 namespace {
-
-void
-appendf(std::string &out, const char *format, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void
-appendf(std::string &out, const char *format, ...)
-{
-    char buf[1024];
-    va_list args;
-    va_start(args, format);
-    const int n = std::vsnprintf(buf, sizeof(buf), format, args);
-    va_end(args);
-    if (n > 0)
-        out.append(buf, std::min<std::size_t>(n, sizeof(buf) - 1));
-}
-
-std::string
-renderThresholdOutput(
-    const SweepJobSpec &spec, const JobPartition &partition,
-    const std::vector<ThresholdChunkPartial> &partials)
-{
-    // Same fixed-order reduction as arq::thresholdSweep: chunk partials
-    // merge into task rates in ascending chunk order, tasks fold into
-    // points, and the rendering mirrors the determinism gate's sweep
-    // mode -- so serve output is byte-comparable against an in-process
-    // sweep of the same spec.
-    std::vector<sim::RateStat> task_rates(partition.tasks.size());
-    for (const ThresholdChunkPartial &partial : partials)
-        task_rates[partition.chunks[partial.chunk].task].merge(
-            partial.failures);
-
-    std::vector<arq::ThresholdPoint> points(
-        spec.threshold.physicalErrors.size());
-    for (std::size_t t = 0; t < partition.tasks.size(); ++t) {
-        const ThresholdTask &task = partition.tasks[t];
-        arq::ThresholdPoint &point = points[task.point];
-        point.physicalError = task.physicalError;
-        const sim::RateStat &rate = task_rates[t];
-        if (task.level == 1) {
-            point.level1Failure = rate.rate();
-            point.level1Error = rate.halfWidth95();
-        } else {
-            point.level2Failure = rate.rate();
-            point.level2Error = rate.halfWidth95();
-        }
-    }
-
-    std::string out;
-    for (const arq::ThresholdPoint &point : points)
-        appendf(out, "p=%.17g L1=%.17g +- %.17g L2=%.17g +- %.17g\n",
-                point.physicalError, point.level1Failure,
-                point.level1Error, point.level2Failure,
-                point.level2Error);
-    appendf(out, "threshold=%.17g\n", arq::estimateThreshold(points));
-    return out;
-}
-
-std::string
-renderCoSimOutput(const SweepJobSpec &spec, const JobPartition &partition,
-                  const std::vector<CoSimChunkPartial> &partials)
-{
-    using network::CoSimSweepPoint;
-    const bool noisy = spec.cosim.noisy();
-    const bool hierarchy = spec.cosim.hierarchical();
-
-    // Point lines + reduce line in the determinism gate's interconnect
-    // format, so serve output is byte-comparable against the gate.
-    std::vector<CoSimSweepPoint> points;
-    points.reserve(partials.size());
-    for (const CoSimChunkPartial &partial : partials) {
-        const CoSimPointTask &task = partition.points[partial.chunk];
-        CoSimSweepPoint point;
-        point.workload = task.workload;
-        point.bandwidth = task.bandwidth;
-        point.faultRate = task.faultRate;
-        point.purificationLevel = task.purificationLevel;
-        point.linkFidelity = task.linkFidelity;
-        point.computeFraction = task.computeFraction;
-        point.memoryLevel = task.memoryLevel;
-        point.seed = task.seed;
-        point.report = partial.report;
-        points.push_back(point);
-    }
-
-    std::string out;
-    for (const CoSimSweepPoint &point : points) {
-        const network::CoSimReport &r = point.report;
-        appendf(out,
-                "w=%zu bw=%d seed=%llu windows=%llu warmup=%llu "
-                "stallW=%llu gatesStalled=%llu req=%llu mesh=%llu "
-                "local=%llu deferred=%llu drift=%llu reroutes=%llu "
-                "util=%.17g route=%.17g",
-                point.workload, point.bandwidth,
-                (unsigned long long)point.seed,
-                (unsigned long long)r.windows,
-                (unsigned long long)r.warmupWindows,
-                (unsigned long long)r.stallWindows,
-                (unsigned long long)r.gatesStalled,
-                (unsigned long long)r.pairsRequested,
-                (unsigned long long)r.pairsRoutedOnMesh,
-                (unsigned long long)r.pairsLocal,
-                (unsigned long long)r.deferredPairWindows,
-                (unsigned long long)r.driftMoves,
-                (unsigned long long)r.backoffReroutes, r.utilization,
-                r.averageRouteLength);
-        if (noisy)
-            appendf(out,
-                    " fr=%.17g lvl=%d ef=%.17g dropped=%llu lost=%llu "
-                    "rej=%llu aband=%llu demAband=%llu degraded=%llu "
-                    "retries=%llu backoffW=%llu penaltyW=%llu "
-                    "fidMean=%.17g fidMin=%.17g resid=%.17g",
-                    point.faultRate, point.purificationLevel,
-                    point.linkFidelity,
-                    (unsigned long long)r.pairsDropped,
-                    (unsigned long long)r.pairsLostInTransit,
-                    (unsigned long long)r.pairsRejectedFidelity,
-                    (unsigned long long)r.pairsAbandoned,
-                    (unsigned long long)r.demandsAbandoned,
-                    (unsigned long long)r.gatesDegraded,
-                    (unsigned long long)r.retryAttempts,
-                    (unsigned long long)r.retryBackoffWindows,
-                    (unsigned long long)r.fallbackPenaltyWindows,
-                    r.deliveredFidelityMean(), r.deliveredFidelityMin,
-                    r.residualEprError());
-        if (hierarchy)
-            appendf(out,
-                    " cf=%.17g ml=%d touches=%llu hits=%llu miss=%llu "
-                    "inplace=%llu evict=%llu fetchReq=%llu wbReq=%llu "
-                    "convW=%llu cTiles=%llu mTiles=%llu",
-                    point.computeFraction, point.memoryLevel,
-                    (unsigned long long)r.operandTouches,
-                    (unsigned long long)r.memHits,
-                    (unsigned long long)r.memMisses,
-                    (unsigned long long)r.memInPlaceMisses,
-                    (unsigned long long)r.memEvictions,
-                    (unsigned long long)r.fetchPairsRequested,
-                    (unsigned long long)r.writebackPairsRequested,
-                    (unsigned long long)r.missConversionWindows,
-                    (unsigned long long)r.computeTiles,
-                    (unsigned long long)r.memoryTiles);
-        out += '\n';
-    }
-
-    const network::CoSimSweepStats stats
-        = network::reduceCoSimSweep(points);
-    appendf(out,
-            "makespan_mean=%.17g util_mean=%.17g stall_mean=%.17g "
-            "stalled_runs=%llu/%llu",
-            stats.makespanWindows.mean(), stats.utilization.mean(),
-            stats.stallWindows.mean(),
-            (unsigned long long)stats.stalledRuns.successes(),
-            (unsigned long long)stats.stalledRuns.trials());
-    if (noisy)
-        appendf(out,
-                " dropped_mean=%.17g abandoned_mean=%.17g "
-                "retries_mean=%.17g resid_mean=%.17g "
-                "degraded_runs=%llu/%llu",
-                stats.droppedPairs.mean(), stats.abandonedPairs.mean(),
-                stats.retryAttempts.mean(),
-                stats.residualEprError.mean(),
-                (unsigned long long)stats.degradedRuns.successes(),
-                (unsigned long long)stats.degradedRuns.trials());
-    if (hierarchy)
-        appendf(out,
-                " miss_mean=%.17g missrate_mean=%.17g evict_mean=%.17g",
-                stats.cacheMisses.mean(), stats.cacheMissRate.mean(),
-                stats.cacheEvictions.mean());
-    out += '\n';
-    return out;
-}
 
 /** Shared record-side state of one run (guarded by its mutex). */
 struct RunState
@@ -241,35 +67,6 @@ struct RunState
         return data;
     }
 };
-
-network::CoSimConfig
-baseCoSimConfig(const CoSimJobParams &params)
-{
-    network::CoSimConfig base;
-    base.placement = params.randomPlacement
-        ? network::PlacementStrategy::Random
-        : network::PlacementStrategy::Affinity;
-    base.fidelity.opError = params.opError;
-    base.fidelity.deliveryThreshold = params.deliveryThreshold;
-    base.fidelity.retryBudget = params.retryBudget;
-    return base;
-}
-
-/** The per-point config construction of network::runCoSimSweep. */
-network::CoSimConfig
-pointCoSimConfig(const network::CoSimConfig &base,
-                 const CoSimPointTask &point)
-{
-    network::CoSimConfig cosim = base;
-    cosim.bandwidth = point.bandwidth;
-    cosim.seed = point.seed;
-    cosim.linkFaults = base.linkFaults.atRate(point.faultRate);
-    cosim.fidelity.elementaryFidelity = point.linkFidelity;
-    cosim.fidelity.purificationLevel = point.purificationLevel;
-    cosim.memory.computeFraction = point.computeFraction;
-    cosim.memory.memoryCodeLevel = point.memoryLevel;
-    return cosim;
-}
 
 } // namespace
 
@@ -338,12 +135,9 @@ runSweepJob(const SweepJobSpec &spec, const RunnerOptions &options,
     // Lowered workloads pinned for the scheduler's lifetime (cosim).
     std::vector<std::shared_ptr<const network::ProgramWorkload>>
         workloads;
-    network::CoSimConfig base_config;
-    if (spec.kind == SweepKind::CoSim && !pending.empty()) {
+    if (spec.kind == SweepKind::CoSim && !pending.empty())
         for (const WorkloadSpec &workload : spec.cosim.workloads)
             workloads.push_back(caches.workloads.acquire(workload));
-        base_config = baseCoSimConfig(spec.cosim);
-    }
 
     const std::size_t total_owned = owned.size();
     auto record_progress = [&](const std::string &line) {
@@ -375,8 +169,7 @@ runSweepJob(const SweepJobSpec &spec, const RunnerOptions &options,
     // vector while workers look up their slots would race.
     while (caches.perWorkerExperiments.size()
            < static_cast<std::size_t>(scheduler.threadCount()))
-        caches.perWorkerExperiments.push_back(
-            std::make_unique<ExperimentCache>());
+        caches.perWorkerExperiments.emplace_back(8);
     scheduler.run(pending.size(), [&](std::size_t job, int worker) {
         {
             std::lock_guard<std::mutex> lock(state.mutex);
@@ -386,14 +179,17 @@ runSweepJob(const SweepJobSpec &spec, const RunnerOptions &options,
         const SweepChunk &chunk = partition.chunks[pending[job]];
 
         if (spec.kind == SweepKind::Threshold) {
-            const ThresholdTask &task = partition.tasks[chunk.task];
-            auto experiment = caches.workerCache(worker).acquire(
-                task.physicalError, spec.threshold.groupWords);
+            const arq::SweepTask &task = partition.tasks[chunk.task];
+            arq::BatchOptions batch;
+            batch.groupWords = spec.threshold.groupWords;
             ThresholdChunkPartial partial;
             partial.chunk = chunk.index;
-            partial.failures = experiment->failureRateRange(
-                task.level, chunk.firstShot, chunk.shotCount, task.seed,
-                &partial.stats);
+            partial.failures
+                = caches.workerCache(worker)
+                      .acquire(task.physicalError, batch)
+                      .failureRateRange(task.level, chunk.firstShot,
+                                        chunk.shotCount, task.seed,
+                                        &partial.stats);
 
             std::lock_guard<std::mutex> lock(state.mutex);
             if (state.killed)
@@ -415,10 +211,10 @@ runSweepJob(const SweepJobSpec &spec, const RunnerOptions &options,
             return;
         }
 
-        const CoSimPointTask &point = partition.points[chunk.task];
+        const network::CoSimSweepPoint &point
+            = partition.points[chunk.task];
         network::ProgramCoSimulator simulator(
-            *workloads[point.workload],
-            pointCoSimConfig(base_config, point));
+            *workloads[point.workload], partition.cosim.pointConfig(point));
         CoSimChunkPartial partial;
         partial.chunk = chunk.index;
         partial.report = simulator.run();
@@ -472,9 +268,20 @@ renderSweepOutput(
     const std::vector<ThresholdChunkPartial> &threshold_partials,
     const std::vector<CoSimChunkPartial> &cosim_partials)
 {
-    return spec.kind == SweepKind::Threshold
-        ? renderThresholdOutput(spec, partition, threshold_partials)
-        : renderCoSimOutput(spec, partition, cosim_partials);
+    if (spec.kind == SweepKind::CoSim) {
+        std::vector<network::CoSimSweepPoint> points;
+        points.reserve(cosim_partials.size());
+        for (const CoSimChunkPartial &partial : cosim_partials) {
+            points.push_back(partition.points[partial.chunk]);
+            points.back().report = partial.report;
+        }
+        return network::formatCoSimSweep(points);
+    }
+    std::vector<sim::RateStat> chunk_rates(partition.chunks.size());
+    for (const ThresholdChunkPartial &partial : threshold_partials)
+        chunk_rates[partial.chunk] = partial.failures;
+    return arq::formatThresholdSweep(arq::reduceThresholdSweep(
+        partition.tasks, partition.chunks, chunk_rates));
 }
 
 bool

@@ -17,10 +17,12 @@
  * So a killed-and-resumed run, a 1-vs-N-worker run, and a sharded
  * run reassembled by mergeSweepCheckpoints() all emit byte-identical
  * output -- the property the CI resume-equivalence gate and
- * tests/test_sweep_service.cc enforce with cmp/EXPECT_EQ. Threshold
- * output additionally matches rendering arq::thresholdSweep's points
- * directly (same seeds, same chunk reduction), which the
- * cross-validation test asserts.
+ * tests/test_sweep_service.cc enforce with cmp/EXPECT_EQ. The output
+ * is the engine's own text: arq::formatThresholdSweep over
+ * arq::reduceThresholdSweep, or network::formatCoSimSweep over the
+ * job's points, so it matches formatting arq::thresholdSweep or
+ * network::runCoSimSweep directly, which the cross-validation tests
+ * assert.
  */
 
 #ifndef QLA_SERVE_SWEEP_RUNNER_H
@@ -30,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "arq/batched_monte_carlo.h"
 #include "serve/checkpoint.h"
 #include "serve/engine_cache.h"
 #include "serve/job_spec.h"
@@ -44,13 +47,13 @@ struct SweepCaches
      *  frame traces are not shared across concurrent workers (the
      *  batched engine mutates per-run scratch), but they stay warm
      *  across sequential jobs on the same worker slot. */
-    std::vector<std::unique_ptr<ExperimentCache>> perWorkerExperiments;
+    std::vector<arq::ExperimentCache> perWorkerExperiments;
     WorkloadCache workloads;
 
     /** Worker slot @p worker's cache. The runner sizes
      *  perWorkerExperiments before its scheduler starts, so workers
-     *  only ever read the vector. */
-    ExperimentCache &workerCache(std::size_t worker);
+     *  only ever touch their own element. */
+    arq::ExperimentCache &workerCache(std::size_t worker);
     /** Summed record/replay tallies across workers + workload cache. */
     CacheCounters counters() const;
     void resetCounters();
@@ -114,7 +117,8 @@ bool mergeSweepCheckpoints(const SweepJobSpec &spec,
                            std::string &output, std::string &error);
 
 /** Render the final result text from a complete, ascending partial
- *  set (exposed for the merge path and tests). */
+ *  set: the engine's formatter over the merged partials (exposed for
+ *  the merge path and tests). */
 std::string renderSweepOutput(
     const SweepJobSpec &spec, const JobPartition &partition,
     const std::vector<ThresholdChunkPartial> &threshold_partials,

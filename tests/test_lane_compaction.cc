@@ -23,6 +23,8 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
+#include <sstream>
 #include <vector>
 
 #include "arq/batched_monte_carlo.h"
@@ -376,6 +378,25 @@ TEST(SamplerTransplant, MismatchedProbabilityDies)
     LaneRngs lanes = familyLanes(family);
     a.sample(~0ULL, lanes);
     EXPECT_DEATH(a.moveLaneTo(b, 0, 0), "probabilities");
+}
+
+TEST(NoiseClassTable, RejectsProbabilitiesOutsideUnitInterval)
+{
+    // NaN must die here, named: it never equals a stored class, so it
+    // would otherwise surface as "noise class table overflow".
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double p : {nan, -0.5, 1.5}) {
+        std::ostringstream name;
+        name << p;
+        NoiseClassTable table;
+        EXPECT_DEATH(table.classOf(p),
+                     "noise class probability " + name.str());
+        EXPECT_DEATH(table.newClass(p),
+                     "noise class probability " + name.str());
+    }
+    NoiseClassTable table;
+    EXPECT_EQ(table.classOf(0.0), 0);
+    EXPECT_EQ(table.classOf(1.0), 1);
 }
 
 //

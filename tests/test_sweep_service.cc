@@ -11,10 +11,14 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "apps/qcla.h"
+#include "apps/toffoli.h"
 #include "arq/monte_carlo.h"
 #include "common/rng.h"
+#include "network/cosim.h"
 #include "serve/checkpoint.h"
 #include "serve/engine_cache.h"
 #include "serve/job_spec.h"
@@ -321,6 +325,77 @@ TEST(SweepRunner, ThresholdOutputMatchesInProcessSweep)
                   arq::estimateThreshold(points));
     expected += buf;
     EXPECT_EQ(served, expected);
+}
+
+TEST(SweepRunner, CoSimOutputMatchesInProcessSweep)
+{
+    // The reference: network::runCoSimSweep over the same circuits and
+    // axes, configured here field by field rather than through the
+    // partitioner, rendered by the shared formatter.
+    std::vector<network::ProgramWorkload> programs;
+    programs.emplace_back(apps::qclaAdderCircuit(8));
+    programs.emplace_back(apps::toffoliNetworkCircuit(6, 4));
+
+    SweepJobSpec clean = smallCoSimSpec();
+    WorkloadSpec toffoli;
+    toffoli.app = WorkloadSpec::App::Toffoli;
+    toffoli.size = 6;
+    toffoli.depth = 4;
+    clean.cosim.workloads.push_back(toffoli);
+    clean.cosim.seeds = {7, 8};
+    network::CoSimSweepConfig clean_config;
+    clean_config.base.placement = network::PlacementStrategy::Random;
+    clean_config.bandwidths = {1, 2};
+    clean_config.seeds = {7, 8};
+
+    SweepJobSpec noisy = clean;
+    noisy.cosim.bandwidths = {2};
+    noisy.cosim.seeds = {7};
+    noisy.cosim.faultRates = {0.0, 0.05};
+    noisy.cosim.purificationLevels = {0, 1};
+    noisy.cosim.linkFidelities = {1.0, 0.96};
+    noisy.cosim.opError = 1e-4;
+    noisy.cosim.deliveryThreshold = 0.88;
+    noisy.cosim.retryBudget = 2;
+    network::CoSimSweepConfig noisy_config = clean_config;
+    noisy_config.bandwidths = {2};
+    noisy_config.seeds = {7};
+    noisy_config.faultRates = {0.0, 0.05};
+    noisy_config.purificationLevels = {0, 1};
+    noisy_config.linkFidelities = {1.0, 0.96};
+    noisy_config.base.fidelity.opError = 1e-4;
+    noisy_config.base.fidelity.deliveryThreshold = 0.88;
+    noisy_config.base.fidelity.retryBudget = 2;
+
+    SweepJobSpec split = clean;
+    split.cosim.bandwidths = {2};
+    split.cosim.seeds = {7};
+    split.cosim.computeFractions = {1.0, 0.2};
+    split.cosim.memoryCodeLevels = {1, 2};
+    network::CoSimSweepConfig split_config = clean_config;
+    split_config.bandwidths = {2};
+    split_config.seeds = {7};
+    split_config.computeFractions = {1.0, 0.2};
+    split_config.memoryCodeLevels = {1, 2};
+
+    const std::pair<SweepJobSpec, network::CoSimSweepConfig> cases[] = {
+        {clean, clean_config}, {noisy, noisy_config},
+        {split, split_config}};
+    std::vector<std::string> served;
+    for (const auto &[spec, config] : cases) {
+        served.push_back(runToCompletion(spec, 2));
+        EXPECT_EQ(served.back(),
+                  network::formatCoSimSweep(
+                      network::runCoSimSweep(programs, config)))
+            << spec.canonicalText();
+    }
+    // Each slice prints its own ledgers: none, degradation, cache.
+    EXPECT_EQ(served[0].find(" fr="), std::string::npos);
+    EXPECT_EQ(served[0].find(" cf="), std::string::npos);
+    EXPECT_NE(served[1].find(" fr="), std::string::npos);
+    EXPECT_EQ(served[1].find(" cf="), std::string::npos);
+    EXPECT_EQ(served[2].find(" fr="), std::string::npos);
+    EXPECT_NE(served[2].find(" cf="), std::string::npos);
 }
 
 TEST(SweepRunner, KillAndResumeIsByteIdenticalAtEveryBoundary)
