@@ -17,6 +17,7 @@
 #include "apps/qft.h"
 #include "apps/shor.h"
 #include "apps/toffoli.h"
+#include "common/rng.h"
 #include "common/tech_params.h"
 #include "network/cosim.h"
 #include "network/scheduler.h"
@@ -129,6 +130,62 @@ BM_SyntheticSchedulerBandwidth(benchmark::State &state)
         benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_SyntheticSchedulerBandwidth)->DenseRange(1, 4);
+
+//
+// The router alone: a fixed seeded demand storm that saturates the
+// mesh, so most attempts walk candidate paths whose links are already
+// full. items_per_second (and routes_per_s) is routePairs calls per
+// wall second; the counters pin the storm's outcome.
+//
+
+static void
+BM_EprRouterCongested(benchmark::State &state)
+{
+    constexpr int kSide = 12;
+    constexpr int kWindows = 8;
+    constexpr int kDemandsPerWindow = 200;
+    const int bandwidth = static_cast<int>(state.range(0));
+    std::vector<network::EprDemand> storm;
+    Rng rng(20051113);
+    for (int d = 0; d < kWindows * kDemandsPerWindow; ++d) {
+        network::EprDemand demand;
+        demand.source = {static_cast<int>(rng.uniformInt(kSide)),
+                         static_cast<int>(rng.uniformInt(kSide))};
+        demand.destination = {static_cast<int>(rng.uniformInt(kSide)),
+                              static_cast<int>(rng.uniformInt(kSide))};
+        demand.pairs = 1 + rng.uniformInt(98);
+        storm.push_back(demand);
+    }
+    const network::EprRouter router(2);
+    std::uint64_t moved = 0, requested = 0, reroutes = 0;
+    for (auto _ : state) {
+        network::IslandMesh mesh(kSide, kSide, bandwidth, 30);
+        network::RouteStats stats;
+        moved = requested = 0;
+        for (int w = 0; w < kWindows; ++w) {
+            for (int d = 0; d < kDemandsPerWindow; ++d) {
+                const auto &demand = storm[static_cast<std::size_t>(
+                    w * kDemandsPerWindow + d)];
+                requested += demand.pairs;
+                moved += router.routePairs(mesh, demand, demand.pairs,
+                                           stats);
+            }
+            mesh.advanceWindow();
+        }
+        reroutes = stats.backoffReroutes;
+        benchmark::DoNotOptimize(moved);
+    }
+    const std::int64_t routes = kWindows * kDemandsPerWindow;
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) * routes);
+    state.counters["routes_per_s"] = benchmark::Counter(
+        static_cast<double>(routes),
+        benchmark::Counter::kIsIterationInvariantRate);
+    state.counters["moved_frac"] = static_cast<double>(moved)
+        / static_cast<double>(requested);
+    state.counters["reroutes"] = static_cast<double>(reroutes);
+}
+BENCHMARK(BM_EprRouterCongested)->Arg(1)->Arg(2);
 
 //
 // The logical-program co-simulation pipeline: lower a real circuit onto

@@ -112,6 +112,10 @@ class CoSimEngine
         report_.computeTiles = regions_.computeTiles();
         report_.memoryTiles = regions_.memoryTiles();
         if (hierarchy_on_) {
+            const int boundary = regions_.computeIslandColumns()
+                * placement_.tilesPerIslandX();
+            compute_band_ = TileBand{0, boundary};
+            memory_band_ = TileBand{boundary};
             mem_params_ = arch::RegionCodeParams::memoryAtLevel(
                 config_.memory.memoryCodeLevel);
             fetch_pairs_ = config_.memory.pairsPerFetch
@@ -364,13 +368,8 @@ class CoSimEngine
         anchor.y /= static_cast<int>(gate.qubits.size());
         // Ancilla factories exist only in the compute region (the point
         // of the CQLA split), so gadget tiles must allocate there.
-        const TileFilter compute_only = [this](const TileCoord &t) {
-            return inCompute(t);
-        };
         for (int i = 0; i < gate.ancillaCount; ++i) {
-            const auto tile = hierarchy_on_
-                ? placement_.nearestFree(anchor, compute_only)
-                : placement_.nearestFree(anchor);
+            const auto tile = placement_.nearestFree(anchor, compute_band_);
             if (!tile) {
                 for (const EntityId e : out)
                     releaseAncilla(e);
@@ -463,7 +462,7 @@ class CoSimEngine
 
     bool inCompute(const TileCoord &t) const
     {
-        return regions_.tileKind(t.x) == arch::RegionKind::Compute;
+        return t.x < compute_band_.end;
     }
 
     /** True when @p q is an operand of an active gate other than
@@ -530,9 +529,6 @@ class CoSimEngine
             ++report_.memInPlaceMisses;
             return;
         }
-        const TileFilter compute_only = [this](const TileCoord &t) {
-            return inCompute(t);
-        };
         // Aim next to the gate's compute-resident operands; a gate
         // whose operands are all in memory fetches to the boundary
         // column nearest its row.
@@ -550,14 +546,12 @@ class CoSimEngine
             anchor.x /= resident;
             anchor.y /= resident;
         } else {
-            anchor = TileCoord{regions_.computeIslandColumns()
-                                       * placement_.tilesPerIslandX()
-                                   - 1,
+            anchor = TileCoord{compute_band_.end - 1,
                                placement_.tileOf(q).y};
         }
-        auto tile = placement_.nearestFree(anchor, compute_only);
+        auto tile = placement_.nearestFree(anchor, compute_band_);
         if (!tile && evictColdest(g, slot))
-            tile = placement_.nearestFree(anchor, compute_only);
+            tile = placement_.nearestFree(anchor, compute_band_);
         if (!tile) {
             ++report_.memInPlaceMisses;
             return;
@@ -604,11 +598,8 @@ class CoSimEngine
         }
         if (victim == kNoEntity)
             return false;
-        const TileFilter memory_only = [this](const TileCoord &t) {
-            return !inCompute(t);
-        };
         const auto tile = placement_.nearestFree(
-            placement_.tileOf(victim), memory_only);
+            placement_.tileOf(victim), memory_band_);
         if (!tile)
             return false; // memory full too: caller degrades in place
         const IslandCoord src = placement_.islandOf(victim);
@@ -829,21 +820,13 @@ class CoSimEngine
              g.interactionsFor[static_cast<std::size_t>(g.progress)]) {
                 const EntityId mover = entityOf(g, inter.mover);
                 const EntityId target = entityOf(g, inter.target);
-                bool moved = false;
-                if (hierarchy_on_) {
-                    // Drift must not cross the region boundary: a
-                    // fetched (compute) qubit stays cached, an
-                    // in-place-miss (memory) qubit stays in memory.
-                    const bool in_compute =
-                        inCompute(placement_.tileOf(mover));
-                    moved = placement_.driftToward(
-                        mover, target,
-                        [this, in_compute](const TileCoord &t) {
-                            return inCompute(t) == in_compute;
-                        });
-                } else {
-                    moved = placement_.driftToward(mover, target);
-                }
+                // Drift must not cross the region boundary: a fetched
+                // (compute) qubit stays cached, an in-place-miss
+                // (memory) qubit stays in memory.
+                const bool moved = placement_.driftToward(
+                    mover, target,
+                    inCompute(placement_.tileOf(mover)) ? compute_band_
+                                                        : memory_band_);
                 if (moved)
                     ++report_.driftMoves;
             }
@@ -938,6 +921,10 @@ class CoSimEngine
     // PR 8 memory-hierarchy state (inert on the uniform mesh).
     bool hierarchy_on_ = false;
     arch::RegionMap regions_;
+    /** Tile columns of the compute and memory regions (on the uniform
+     *  mesh: the whole grid and nothing). */
+    TileBand compute_band_;
+    TileBand memory_band_{0, 0};
     arch::RegionCodeParams mem_params_;
     std::uint64_t fetch_pairs_ = 0;
     /** Per data qubit: gate ids touching it, increasing (Belady). */

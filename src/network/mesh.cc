@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "common/rng.h"
 
@@ -85,79 +84,74 @@ IslandMesh::usedSlots(const IslandCoord &from, Direction dir) const
     return used_[linkIndex(from, dir)];
 }
 
-namespace {
-
-/** Directed-link indices along a waypoint path. */
-std::vector<std::size_t>
-pathLinks(const IslandMesh &mesh, const std::vector<IslandCoord> &path,
-          const std::function<std::size_t(const IslandCoord &, Direction)>
-              &index)
+int
+IslandPath::hops() const
 {
-    (void)mesh;
-    std::vector<std::size_t> links;
-    links.reserve(path.size() - 1);
+    int hops = 0;
+    for (std::size_t i = 0; i + 1 < size(); ++i)
+        hops += islandDistance((*this)[i], (*this)[i + 1]);
+    return hops;
+}
+
+template <typename Visit>
+bool
+IslandMesh::walkLinks(IslandPath path, Visit &&visit) const
+{
+    // Consecutive links of a leg are a fixed index stride apart (4 per
+    // island in x, 4 * width per island in y), so a leg is walked
+    // without building a per-hop island list.
+    const auto row_stride = static_cast<std::ptrdiff_t>(width_) * 4;
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
         const IslandCoord &a = path[i];
         const IslandCoord &b = path[i + 1];
+        qla_assert(a.x == b.x || a.y == b.y,
+                   "island path leg is not axis-aligned");
+        if (a == b)
+            continue;
+        qla_assert(inBounds(a) && inBounds(b), "link leaves the mesh");
         Direction dir;
-        if (b.x == a.x + 1 && b.y == a.y)
-            dir = Direction::East;
-        else if (b.x == a.x - 1 && b.y == a.y)
-            dir = Direction::West;
-        else if (b.y == a.y + 1 && b.x == a.x)
-            dir = Direction::North;
-        else if (b.y == a.y - 1 && b.x == a.x)
-            dir = Direction::South;
-        else
-            qla_panic("non-adjacent hop in island path");
-        links.push_back(index(a, dir));
-    }
-    return links;
-}
-
-} // namespace
-
-bool
-IslandMesh::reservePath(const std::vector<IslandCoord> &path,
-                        std::uint64_t pairs)
-{
-    if (path.size() < 2)
-        return true; // local delivery, no mesh links involved
-
-    const auto links = pathLinks(
-        *this, path,
-        [this](const IslandCoord &c, Direction d) {
-            return linkIndex(c, d);
-        });
-
-    for (std::size_t link : links)
-        if (used_[link] + pairs > capacityOf(link))
-            return false;
-    for (std::size_t link : links) {
-        used_[link] += pairs;
-        window_reserved_ += pairs;
-        total_reserved_ += pairs;
+        std::ptrdiff_t stride;
+        if (b.x != a.x) {
+            dir = b.x > a.x ? Direction::East : Direction::West;
+            stride = b.x > a.x ? 4 : -4;
+        } else {
+            dir = b.y > a.y ? Direction::North : Direction::South;
+            stride = b.y > a.y ? row_stride : -row_stride;
+        }
+        auto link = static_cast<std::ptrdiff_t>(linkIndex(a, dir));
+        for (int n = islandDistance(a, b); n > 0; --n, link += stride)
+            if (!visit(static_cast<std::size_t>(link)))
+                return false;
     }
     return true;
 }
 
-std::uint64_t
-IslandMesh::maxReservable(const std::vector<IslandCoord> &path) const
+bool
+IslandMesh::reservePath(IslandPath path, std::uint64_t pairs)
 {
-    if (path.size() < 2)
-        return ~std::uint64_t{0};
-    const auto links = pathLinks(
-        *this, path,
-        [this](const IslandCoord &c, Direction d) {
-            return linkIndex(c, d);
-        });
+    const bool fits = walkLinks(path, [&](std::size_t link) {
+        return used_[link] + pairs <= capacityOf(link);
+    });
+    if (!fits)
+        return false;
+    walkLinks(path, [&](std::size_t link) {
+        used_[link] += pairs;
+        window_reserved_ += pairs;
+        total_reserved_ += pairs;
+        return true;
+    });
+    return true;
+}
+
+std::uint64_t
+IslandMesh::maxReservable(IslandPath path) const
+{
     std::uint64_t free = ~std::uint64_t{0};
-    for (std::size_t link : links) {
+    walkLinks(path, [&](std::size_t link) {
         const std::uint64_t cap = capacityOf(link);
-        const std::uint64_t f = used_[link] >= cap ? 0
-                                                   : cap - used_[link];
-        free = std::min(free, f);
-    }
+        free = std::min(free, used_[link] >= cap ? 0 : cap - used_[link]);
+        return free != 0;
+    });
     return free;
 }
 
@@ -260,18 +254,15 @@ IslandMesh::linkBurst(const IslandCoord &from, Direction dir) const
 }
 
 int
-IslandMesh::burstLinksOnPath(const std::vector<IslandCoord> &path) const
+IslandMesh::burstLinksOnPath(IslandPath path) const
 {
-    if (!faults_on_ || faults_.burstRate <= 0.0 || path.size() < 2)
+    if (!faults_on_ || faults_.burstRate <= 0.0)
         return 0;
-    const auto links = pathLinks(
-        *this, path,
-        [this](const IslandCoord &c, Direction d) {
-            return linkIndex(c, d);
-        });
     int bursts = 0;
-    for (std::size_t link : links)
+    walkLinks(path, [&](std::size_t link) {
         bursts += burst_[link] != 0;
+        return true;
+    });
     return bursts;
 }
 

@@ -15,6 +15,8 @@
 #define QLA_NETWORK_MESH_H
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -36,6 +38,27 @@ struct IslandCoord
 
 /** Manhattan distance between two islands. */
 int islandDistance(const IslandCoord &a, const IslandCoord &b);
+
+/**
+ * Read-only view of an island path given by its waypoints: consecutive
+ * waypoints share a row or a column, and the path crosses every directed
+ * link of the straight leg between them. A unit-hop island list is the
+ * special case in which every leg is one link long. Like std::span it
+ * does not own the waypoints, which must outlive it.
+ */
+class IslandPath : public std::span<const IslandCoord>
+{
+  public:
+    using std::span<const IslandCoord>::span;
+
+    IslandPath(std::initializer_list<IslandCoord> points)
+        : std::span<const IslandCoord>(points.begin(), points.size())
+    {
+    }
+
+    /** Links crossed: the sum of the leg lengths. */
+    int hops() const;
+};
 
 /** Directions of mesh links. */
 enum class Direction : std::uint8_t { East, West, North, South };
@@ -133,15 +156,15 @@ class IslandMesh
 
     /**
      * Try to reserve @p pairs slots on every directed link along
-     * @p path (consecutive adjacent islands). All-or-nothing.
+     * @p path. All-or-nothing.
      * @return true when the reservation succeeded.
      */
-    bool reservePath(const std::vector<IslandCoord> &path,
-                     std::uint64_t pairs);
+    bool reservePath(IslandPath path, std::uint64_t pairs);
 
     /** Largest reservation the path can currently accept (min over its
-     *  links of the free slots); UINT64_MAX for a trivial path. */
-    std::uint64_t maxReservable(const std::vector<IslandCoord> &path) const;
+     *  links of the free slots, stopping at the first full link);
+     *  UINT64_MAX for a trivial path. */
+    std::uint64_t maxReservable(IslandPath path) const;
 
     /** Begin a new window: clears all reservations, accumulates stats. */
     void advanceWindow();
@@ -162,7 +185,7 @@ class IslandMesh
     bool linkBurst(const IslandCoord &from, Direction dir) const;
 
     /** Bursting links crossed by @p path in the current window. */
-    int burstLinksOnPath(const std::vector<IslandCoord> &path) const;
+    int burstLinksOnPath(IslandPath path) const;
 
     /** @name Fault-process event counters
      *  For the statistical crosscheck that injected faults match their
@@ -195,6 +218,13 @@ class IslandMesh
 
   private:
     std::size_t linkIndex(const IslandCoord &from, Direction dir) const;
+
+    /** Call @p visit(link) on every directed link of @p path in walk
+     *  order, in place; stops and returns false as soon as a visit
+     *  returns false. */
+    template <typename Visit>
+    bool walkLinks(IslandPath path, Visit &&visit) const;
+
     static IslandCoord neighbor(const IslandCoord &c, Direction dir);
 
     /** Capacity of link slot @p link this window (0 while down). */

@@ -9,7 +9,8 @@ TilePlacement::TilePlacement(int mesh_width, int mesh_height,
     : tile_width_(mesh_width * tiles_per_island_x),
       tile_height_(mesh_height), tiles_per_island_x_(tiles_per_island_x),
       occupant_(static_cast<std::size_t>(tile_width_) * tile_height_,
-                kNoEntity)
+                kNoEntity),
+      column_free_(static_cast<std::size_t>(tile_width_), tile_height_)
 {
     qla_assert(mesh_width > 0 && mesh_height > 0 && tiles_per_island_x > 0,
                "bad tile-grid parameters");
@@ -47,6 +48,7 @@ TilePlacement::assign(EntityId entity, const TileCoord &tile)
     tiles_[entity] = tile;
     occupant_[tileIndex(tile)] = entity;
     ++occupied_;
+    --column_free_[static_cast<std::size_t>(tile.x)];
 }
 
 void
@@ -56,6 +58,7 @@ TilePlacement::release(EntityId entity)
     occupant_[tileIndex(tile)] = kNoEntity;
     tiles_[entity].reset();
     --occupied_;
+    ++column_free_[static_cast<std::size_t>(tile.x)];
 }
 
 void
@@ -66,45 +69,33 @@ TilePlacement::moveTo(EntityId entity, const TileCoord &tile)
 }
 
 std::optional<TileCoord>
-TilePlacement::nearestFree(const TileCoord &near) const
+TilePlacement::nearestFree(const TileCoord &near, TileBand band) const
 {
     qla_assert(inBounds(near), "tile out of bounds");
+    const int lo = std::clamp(band.begin, 0, tile_width_);
+    const int hi = std::clamp(band.end, lo, tile_width_);
+    const bool any_free = (lo == 0 && hi == tile_width_)
+        ? occupied_ < totalTiles()
+        : std::any_of(column_free_.begin() + lo, column_free_.begin() + hi,
+                      [](int free) { return free > 0; });
+    if (!any_free)
+        return std::nullopt;
     // Expanding Manhattan rings; within a ring, a fixed deterministic
-    // walk (decreasing dx from +r to -r, y below before above).
+    // walk (decreasing dx from +r to -r, y below before above), with dx
+    // clamped to the band.
     const int max_radius = tile_width_ + tile_height_;
     for (int r = 0; r <= max_radius; ++r) {
-        for (int dx = r; dx >= -r; --dx) {
-            const int dy_mag = r - std::abs(dx);
-            for (int sign : {-1, +1}) {
-                if (dy_mag == 0 && sign == +1)
-                    continue;
-                const TileCoord t{near.x + dx, near.y + sign * dy_mag};
-                if (inBounds(t)
-                    && occupant_[tileIndex(t)] == kNoEntity)
-                    return t;
-            }
-        }
-    }
-    return std::nullopt;
-}
-
-std::optional<TileCoord>
-TilePlacement::nearestFree(const TileCoord &near,
-                           const TileFilter &eligible) const
-{
-    qla_assert(inBounds(near), "tile out of bounds");
-    const int max_radius = tile_width_ + tile_height_;
-    for (int r = 0; r <= max_radius; ++r) {
-        for (int dx = r; dx >= -r; --dx) {
-            const int dy_mag = r - std::abs(dx);
-            for (int sign : {-1, +1}) {
-                if (dy_mag == 0 && sign == +1)
-                    continue;
-                const TileCoord t{near.x + dx, near.y + sign * dy_mag};
-                if (inBounds(t) && occupant_[tileIndex(t)] == kNoEntity
-                    && eligible(t))
-                    return t;
-            }
+        const int dx_first = std::min(r, hi - 1 - near.x);
+        const int dx_last = std::max(-r, lo - near.x);
+        for (int dx = dx_first; dx >= dx_last; --dx) {
+            const int dy = r - std::abs(dx);
+            const int x = near.x + dx;
+            if (near.y - dy >= 0
+                && occupant_[tileIndex({x, near.y - dy})] == kNoEntity)
+                return TileCoord{x, near.y - dy};
+            if (dy > 0 && near.y + dy < tile_height_
+                && occupant_[tileIndex({x, near.y + dy})] == kNoEntity)
+                return TileCoord{x, near.y + dy};
         }
     }
     return std::nullopt;
@@ -112,32 +103,14 @@ TilePlacement::nearestFree(const TileCoord &near,
 
 bool
 TilePlacement::driftToward(EntityId entity, EntityId partner,
-                           const TileFilter &eligible)
-{
-    const TileCoord from = tileOf(entity);
-    const TileCoord target = tileOf(partner);
-    const IslandCoord target_island = islandOf(target);
-    if (islandOf(from) == target_island)
-        return false;
-    const auto free = nearestFree(target, eligible);
-    if (!free)
-        return false;
-    if (islandDistance(islandOf(*free), target_island)
-        >= islandDistance(islandOf(from), target_island))
-        return false;
-    moveTo(entity, *free);
-    return true;
-}
-
-bool
-TilePlacement::driftToward(EntityId entity, EntityId partner)
+                           TileBand band)
 {
     const TileCoord from = tileOf(entity);
     const TileCoord target = tileOf(partner);
     const IslandCoord target_island = islandOf(target);
     if (islandOf(from) == target_island)
         return false; // already co-located: nothing to gain
-    const auto free = nearestFree(target);
+    const auto free = nearestFree(target, band);
     if (!free)
         return false;
     // Only move when it brings the pair strictly closer in island-grid

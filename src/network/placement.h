@@ -17,10 +17,9 @@
 #define QLA_NETWORK_PLACEMENT_H
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
-
-#include <functional>
 
 #include "arch/region.h"
 #include "circuit/circuit.h"
@@ -46,9 +45,14 @@ using EntityId = std::size_t;
 
 inline constexpr EntityId kNoEntity = ~EntityId{0};
 
-/** Predicate restricting a tile search to a subset of the grid (e.g.
- *  one CQLA region). Must be pure and deterministic. */
-using TileFilter = std::function<bool(const TileCoord &)>;
+/** Half-open tile-column range [begin, end) a tile search is restricted
+ *  to: one CQLA region (compute is [0, C * tilesPerIslandX), memory the
+ *  rest). The default band is the whole grid. */
+struct TileBand
+{
+    int begin = 0;
+    int end = std::numeric_limits<int>::max();
+};
 
 /** Initial-placement policies. */
 enum class PlacementStrategy : std::uint8_t
@@ -126,33 +130,26 @@ class TilePlacement
     void moveTo(EntityId entity, const TileCoord &tile);
 
     /**
-     * Nearest free tile to @p near (deterministic: increasing Manhattan
-     * distance, ties broken by scan order). Empty when the grid is full.
-     */
-    std::optional<TileCoord> nearestFree(const TileCoord &near) const;
-
-    /**
-     * nearestFree restricted to tiles where @p eligible returns true
-     * (same deterministic ring walk). Used by the CQLA cache model to
-     * keep fetches inside the compute region and evictions inside the
-     * memory region.
+     * Nearest free tile to @p near inside the column @p band
+     * (deterministic: increasing Manhattan distance, ties broken by scan
+     * order). Empty at once when the band has no free tile. The CQLA
+     * cache model passes a region's band to keep fetches inside the
+     * compute region and evictions inside the memory region; @p near
+     * may lie outside the band.
      */
     std::optional<TileCoord> nearestFree(const TileCoord &near,
-                                         const TileFilter &eligible) const;
+                                         TileBand band = {}) const;
 
     /**
-     * Drift move: relocate @p entity to the free tile nearest to
-     * @p partner's tile -- ideally on the partner's island, so the next
-     * interaction of the pair is island-local. No-op when the entity
-     * already shares the partner's island or no free tile exists.
+     * Drift move: relocate @p entity to the free tile of @p band nearest
+     * to @p partner's tile -- ideally on the partner's island, so the
+     * next interaction of the pair is island-local. No-op when the
+     * entity already shares the partner's island or no free tile
+     * exists. A region's band keeps a drifting qubit inside its region.
      * @return true when the entity moved.
      */
-    bool driftToward(EntityId entity, EntityId partner);
-
-    /** driftToward restricted to destination tiles where @p eligible
-     *  returns true (so a drifting qubit never leaves its region). */
     bool driftToward(EntityId entity, EntityId partner,
-                     const TileFilter &eligible);
+                     TileBand band = {});
 
     /** Every entity on exactly one tile, every tile at most one entity. */
     bool isBijective() const;
@@ -172,6 +169,7 @@ class TilePlacement
     std::vector<EntityId> occupant_;          // per tile
     std::vector<std::optional<TileCoord>> tiles_; // per entity id
     std::size_t occupied_ = 0;
+    std::vector<int> column_free_;            // free tiles per column
 };
 
 /**

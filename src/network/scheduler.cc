@@ -12,84 +12,35 @@ slotsPerChannel(const SchedulerConfig &config)
                                       / config.purifiedPairServiceTime);
 }
 
-std::vector<IslandCoord>
+RoutePath
 EprRouter::dimensionOrderedPath(const IslandCoord &from,
                                 const IslandCoord &to, bool y_first)
 {
-    std::vector<IslandCoord> path{from};
-    IslandCoord cur = from;
-    auto walk_x = [&]() {
-        while (cur.x != to.x) {
-            cur.x += (to.x > cur.x) ? 1 : -1;
-            path.push_back(cur);
-        }
-    };
-    auto walk_y = [&]() {
-        while (cur.y != to.y) {
-            cur.y += (to.y > cur.y) ? 1 : -1;
-            path.push_back(cur);
-        }
-    };
-    if (y_first) {
-        walk_y();
-        walk_x();
-    } else {
-        walk_x();
-        walk_y();
-    }
-    return path;
+    const IslandCoord corner = y_first ? IslandCoord{from.x, to.y}
+                                       : IslandCoord{to.x, from.y};
+    return {{from, corner, to}, 3};
 }
 
-std::vector<IslandCoord>
+RoutePath
 EprRouter::detourPath(const IslandCoord &from, const IslandCoord &to,
                       int x_shift)
 {
-    // Route via a shifted column: x-first to the detour column, then y,
-    // then x to the destination.
-    const IslandCoord mid1{from.x + x_shift, from.y};
-    const IslandCoord mid2{from.x + x_shift, to.y};
-    std::vector<IslandCoord> path{from};
-    IslandCoord cur = from;
-    auto walk_to = [&](const IslandCoord &wp) {
-        while (cur.x != wp.x) {
-            cur.x += (wp.x > cur.x) ? 1 : -1;
-            path.push_back(cur);
-        }
-        while (cur.y != wp.y) {
-            cur.y += (wp.y > cur.y) ? 1 : -1;
-            path.push_back(cur);
-        }
-    };
-    walk_to(mid1);
-    walk_to(mid2);
-    walk_to(to);
-    return path;
+    return {{from,
+             {from.x + x_shift, from.y},
+             {from.x + x_shift, to.y},
+             to},
+            4};
 }
 
-std::vector<IslandCoord>
+RoutePath
 EprRouter::detourPathRow(const IslandCoord &from, const IslandCoord &to,
                          int y_shift)
 {
-    // Route via a shifted row: y-first to the detour row, then x, then
-    // y to the destination.
-    const IslandCoord mid1{from.x, from.y + y_shift};
-    const IslandCoord mid2{to.x, from.y + y_shift};
-    std::vector<IslandCoord> path{from};
-    IslandCoord cur = from;
-    auto walk_to = [&](const IslandCoord &wp) {
-        while (cur.y != wp.y) {
-            cur.y += (wp.y > cur.y) ? 1 : -1;
-            path.push_back(cur);
-        }
-        while (cur.x != wp.x) {
-            cur.x += (wp.x > cur.x) ? 1 : -1;
-            path.push_back(cur);
-        }
-    };
-    walk_to(mid1);
-    walk_to(mid2);
-    walk_to(to);
-    return path;
+    return {{from,
+             {from.x, from.y + y_shift},
+             {to.x, from.y + y_shift},
+             to},
+            4};
 }
 
 std::uint64_t
@@ -102,7 +53,8 @@ EprRouter::routePairs(IslandMesh &mesh, const EprDemand &demand,
 
     std::uint64_t remaining = pairs;
     bool first_path = true;
-    auto grab = [&](const std::vector<IslandCoord> &path) {
+    auto grab = [&](const RoutePath &route) {
+        const IslandPath path(route);
         if (remaining == 0)
             return;
         const std::uint64_t amount = std::min(remaining,
@@ -117,8 +69,7 @@ EprRouter::routePairs(IslandMesh &mesh, const EprDemand &demand,
         first_path = false;
         if (delivery != nullptr)
             delivery->grabs.push_back(
-                {amount, static_cast<int>(path.size()) - 1,
-                 mesh.burstLinksOnPath(path)});
+                {amount, path.hops(), mesh.burstLinksOnPath(path)});
     };
 
     // Greedy: grab everything the dimension-ordered route offers, then

@@ -23,6 +23,7 @@
 #ifndef QLA_NETWORK_SCHEDULER_H
 #define QLA_NETWORK_SCHEDULER_H
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -87,6 +88,20 @@ struct PathGrab
     int burstLinks = 0;
 };
 
+/**
+ * One candidate route as its waypoints: at most 4, so at most 3
+ * axis-aligned legs, in fixed storage (no heap). Converts to the
+ * IslandPath the mesh walks.
+ */
+struct RoutePath
+{
+    std::array<IslandCoord, 4> points{};
+    std::size_t count = 0;
+
+    const IslandCoord *begin() const { return points.data(); }
+    const IslandCoord *end() const { return points.data() + count; }
+};
+
 /** Per-call delivery detail from EprRouter::routePairs. */
 struct RouteDelivery
 {
@@ -106,22 +121,24 @@ class EprRouter
     {
     }
 
-    /** Dimension-ordered path between two islands. */
-    static std::vector<IslandCoord> dimensionOrderedPath(
-        const IslandCoord &from, const IslandCoord &to, bool y_first);
+    /** Dimension-ordered path between two islands:
+     *  from -> corner -> to, x first unless @p y_first. */
+    static RoutePath dimensionOrderedPath(const IslandCoord &from,
+                                          const IslandCoord &to,
+                                          bool y_first);
 
     /** Path detouring through a column shifted @p x_shift from the
-     *  source. */
-    static std::vector<IslandCoord> detourPath(const IslandCoord &from,
-                                               const IslandCoord &to,
-                                               int x_shift);
+     *  source: from -> (from.x + x_shift, from.y)
+     *  -> (from.x + x_shift, to.y) -> to. */
+    static RoutePath detourPath(const IslandCoord &from,
+                                const IslandCoord &to, int x_shift);
 
     /** Path detouring through a row shifted @p y_shift from the source
-     *  (the only alternate route for islands in the same row, which the
-     *  100-cell floor plan makes the common case). */
-    static std::vector<IslandCoord> detourPathRow(const IslandCoord &from,
-                                                  const IslandCoord &to,
-                                                  int y_shift);
+     *  (the transpose of detourPath, and the only alternate route for
+     *  islands in the same row, which the 100-cell floor plan makes the
+     *  common case). */
+    static RoutePath detourPathRow(const IslandCoord &from,
+                                   const IslandCoord &to, int y_shift);
 
     /**
      * Route up to @p pairs of the demand in the current window,

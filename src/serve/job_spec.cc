@@ -128,6 +128,10 @@ parseList(std::istringstream &rest, std::vector<T> &values, Fn parse_one)
 // daemon (or get served as meaningless results).
 //
 
+/** Why a threshold spec without error rates is rejected. */
+constexpr const char *kEmptyErrors =
+    "threshold job needs a non-empty 'errors' list";
+
 /** True for x in [0, 1]; NaN and infinities are outside. */
 bool
 inUnitInterval(double x)
@@ -254,6 +258,10 @@ SweepJobSpec::parse(const std::string &text, SweepJobSpec &spec,
                 return fail("unknown kind '" + token + "'");
             saw_kind = true;
         } else if (key == "errors") {
+            // The empty list is what a default spec prints: name the
+            // missing rates rather than a malformed list.
+            if ((rest >> std::ws).eof())
+                return fail(kEmptyErrors);
             if (!parseList(rest, spec.threshold.physicalErrors,
                            parseDoubleToken))
                 return fail("bad errors list");
@@ -382,7 +390,7 @@ SweepJobSpec::parse(const std::string &text, SweepJobSpec &spec,
     }
     if (spec.kind == SweepKind::Threshold
         && spec.threshold.physicalErrors.empty()) {
-        error = "threshold job needs a non-empty 'errors' list";
+        error = kEmptyErrors;
         return false;
     }
     if (spec.kind == SweepKind::CoSim && spec.cosim.workloads.empty()) {

@@ -10,8 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "apps/qcla.h"
 #include "apps/qft.h"
@@ -24,6 +29,7 @@
 #include "network/program_workload.h"
 #include "network/scheduler.h"
 #include "network/workload.h"
+#include "serve/job_spec.h"
 
 using namespace qla;
 using namespace qla::network;
@@ -77,6 +83,180 @@ TEST(IslandMesh, TrivialPathNeedsNoCapacity)
     IslandMesh mesh(2, 2, 1, 1);
     EXPECT_TRUE(mesh.reservePath({{0, 0}}, 1000));
     EXPECT_EQ(mesh.maxReservable({{1, 1}}), ~std::uint64_t{0});
+}
+
+namespace {
+
+/** The unit-hop island list of a waypoint path: each leg expanded into
+ *  one island per link, x before y as the router's legs run. */
+std::vector<IslandCoord>
+unitHopExpansion(IslandPath path)
+{
+    std::vector<IslandCoord> out;
+    if (path.empty())
+        return out;
+    IslandCoord cur = path[0];
+    out.push_back(cur);
+    for (std::size_t i = 1; i < path.size(); ++i) {
+        while (cur.x != path[i].x) {
+            cur.x += path[i].x > cur.x ? 1 : -1;
+            out.push_back(cur);
+        }
+        while (cur.y != path[i].y) {
+            cur.y += path[i].y > cur.y ? 1 : -1;
+            out.push_back(cur);
+        }
+    }
+    return out;
+}
+
+Direction
+hopDirection(const IslandCoord &a, const IslandCoord &b)
+{
+    if (b.x != a.x)
+        return b.x > a.x ? Direction::East : Direction::West;
+    return b.y > a.y ? Direction::North : Direction::South;
+}
+
+/** Per-link reference for maxReservable: the min of freeSlots over the
+ *  unit hops (UINT64_MAX for a trivial path). */
+std::uint64_t
+referenceMaxReservable(const IslandMesh &mesh,
+                       const std::vector<IslandCoord> &hops)
+{
+    std::uint64_t free = ~std::uint64_t{0};
+    for (std::size_t i = 0; i + 1 < hops.size(); ++i)
+        free = std::min(free, mesh.freeSlots(
+                                  hops[i], hopDirection(hops[i],
+                                                        hops[i + 1])));
+    return free;
+}
+
+/** Per-link reference for burstLinksOnPath. */
+int
+referenceBurstLinks(const IslandMesh &mesh,
+                    const std::vector<IslandCoord> &hops)
+{
+    int bursts = 0;
+    for (std::size_t i = 0; i + 1 < hops.size(); ++i)
+        bursts += mesh.linkBurst(hops[i],
+                                 hopDirection(hops[i], hops[i + 1]));
+    return bursts;
+}
+
+/** Every directed link's used slots, in link order. */
+std::vector<std::uint64_t>
+usedByLink(const IslandMesh &mesh)
+{
+    std::vector<std::uint64_t> used;
+    for (int y = 0; y < mesh.height(); ++y)
+        for (int x = 0; x < mesh.width(); ++x) {
+            if (x + 1 < mesh.width())
+                used.push_back(mesh.usedSlots({x, y}, Direction::East));
+            if (x > 0)
+                used.push_back(mesh.usedSlots({x, y}, Direction::West));
+            if (y + 1 < mesh.height())
+                used.push_back(mesh.usedSlots({x, y}, Direction::North));
+            if (y > 0)
+                used.push_back(mesh.usedSlots({x, y}, Direction::South));
+        }
+    return used;
+}
+
+} // namespace
+
+TEST(IslandMesh, LegWalkMatchesUnitHopExpansion)
+{
+    // The mesh walks a waypoint path leg by leg in place; every answer
+    // must equal the same call on the path's unit-hop island list, and
+    // a per-link reference built from freeSlots/linkBurst.
+    Rng rng(515);
+    for (int trial = 0; trial < 60; ++trial) {
+        const int width = 2 + static_cast<int>(rng.uniformInt(8));
+        const int height = 2 + static_cast<int>(rng.uniformInt(8));
+        IslandMesh mesh(width, height,
+                        1 + static_cast<int>(rng.uniformInt(3)),
+                        1 + rng.uniformInt(10));
+        if (trial % 3 != 0) {
+            LinkFaultConfig faults;
+            faults.linkDownRate = 0.2;
+            faults.burstRate = 0.3;
+            faults.seed = 1 + rng.uniformInt(1000);
+            mesh.setLinkFaults(faults);
+            for (std::uint64_t w = rng.uniformInt(4); w > 0; --w)
+                mesh.advanceWindow();
+        }
+        auto random_island = [&]() {
+            return IslandCoord{static_cast<int>(rng.uniformInt(width)),
+                               static_cast<int>(rng.uniformInt(height))};
+        };
+        // Random pre-reservations on single links.
+        for (int r = 0; r < width * height; ++r) {
+            const IslandCoord a = random_island();
+            IslandCoord b = a;
+            (rng.bernoulli(0.5) ? b.x : b.y) +=
+                rng.bernoulli(0.5) ? 1 : -1;
+            if (!mesh.inBounds(b))
+                continue;
+            const std::vector<IslandCoord> link{a, b};
+            const std::uint64_t free = mesh.maxReservable(link);
+            if (free > 0) {
+                ASSERT_TRUE(
+                    mesh.reservePath(link, 1 + rng.uniformInt(free)));
+            }
+        }
+        for (int q = 0; q < 40; ++q) {
+            const IslandCoord from = random_island();
+            const IslandCoord to = random_island();
+            std::vector<RoutePath> routes{
+                EprRouter::dimensionOrderedPath(from, to, false),
+                EprRouter::dimensionOrderedPath(from, to, true)};
+            for (int shift = -2; shift <= 2; ++shift) {
+                if (shift != 0 && from.x + shift >= 0
+                    && from.x + shift < width)
+                    routes.push_back(
+                        EprRouter::detourPath(from, to, shift));
+                if (shift != 0 && from.y + shift >= 0
+                    && from.y + shift < height)
+                    routes.push_back(
+                        EprRouter::detourPathRow(from, to, shift));
+            }
+            for (const RoutePath &route : routes) {
+                const IslandPath path(route);
+                const auto hops = unitHopExpansion(path);
+                const std::uint64_t reference =
+                    referenceMaxReservable(mesh, hops);
+                EXPECT_EQ(mesh.maxReservable(path), reference);
+                EXPECT_EQ(mesh.maxReservable(hops), reference);
+                EXPECT_EQ(path.hops(), IslandPath(hops).hops());
+                EXPECT_EQ(path.hops(),
+                          static_cast<int>(hops.size()) - 1);
+                EXPECT_EQ(mesh.burstLinksOnPath(path),
+                          referenceBurstLinks(mesh, hops));
+                EXPECT_EQ(mesh.burstLinksOnPath(hops),
+                          referenceBurstLinks(mesh, hops));
+
+                // Reserve the same amount both ways on copies: the
+                // outcome and every link's load must agree.
+                const std::uint64_t pairs =
+                    hops.size() < 2 || reference == 0
+                        ? 1 + rng.uniformInt(3)
+                        : 1 + rng.uniformInt(reference + 2);
+                IslandMesh by_legs = mesh;
+                IslandMesh by_hops = mesh;
+                const bool ok = by_legs.reservePath(path, pairs);
+                EXPECT_EQ(ok, pairs <= reference);
+                EXPECT_EQ(by_hops.reservePath(hops, pairs), ok);
+                EXPECT_EQ(by_legs.reservedThisWindow(),
+                          by_hops.reservedThisWindow());
+                EXPECT_EQ(usedByLink(by_legs), usedByLink(by_hops));
+                // Keep loading the mesh so later queries see
+                // fragmented capacity.
+                if (ok && rng.bernoulli(0.5))
+                    mesh = by_legs;
+            }
+        }
+    }
 }
 
 TEST(Workload, GeneratesBoundedDemands)
@@ -218,24 +398,26 @@ TEST(Scheduler, UtilizationWithinPhysicalBounds)
 namespace {
 
 void
-expectValidWalk(const std::vector<IslandCoord> &path,
-                const IslandCoord &from, const IslandCoord &to,
-                int width, int height)
+expectValidWalk(const RoutePath &route, const IslandCoord &from,
+                const IslandCoord &to, int width, int height)
 {
-    ASSERT_FALSE(path.empty());
+    const IslandPath path(route);
+    ASSERT_GE(path.size(), 2u);
+    ASSERT_LE(path.size(), 4u); // at most 3 legs
     EXPECT_EQ(path.front(), from);
     EXPECT_EQ(path.back(), to);
+    // Waypoints in bounds: then every island of an axis-aligned leg
+    // between them is too.
     for (const auto &c : path) {
         EXPECT_GE(c.x, 0);
         EXPECT_LT(c.x, width);
         EXPECT_GE(c.y, 0);
         EXPECT_LT(c.y, height);
     }
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-        const int dx = std::abs(path[i + 1].x - path[i].x);
-        const int dy = std::abs(path[i + 1].y - path[i].y);
-        EXPECT_EQ(dx + dy, 1) << "non-unit hop at " << i;
-    }
+    for (std::size_t i = 0; i + 1 < path.size(); ++i)
+        EXPECT_TRUE(path[i].x == path[i + 1].x
+                    || path[i].y == path[i + 1].y)
+            << "leg " << i << " is not axis-aligned";
 }
 
 } // namespace
@@ -276,9 +458,11 @@ TEST(EprRouter, DimensionOrderedPathIsShortest)
 {
     const IslandCoord from{1, 1}, to{4, 5};
     for (const bool y_first : {false, true}) {
-        const auto path = EprRouter::dimensionOrderedPath(from, to,
-                                                          y_first);
-        EXPECT_EQ(path.size(), 1u + 3u + 4u);
+        const RoutePath route =
+            EprRouter::dimensionOrderedPath(from, to, y_first);
+        const IslandPath path(route);
+        EXPECT_EQ(path.hops(), 3 + 4);
+        EXPECT_EQ(path.hops(), islandDistance(from, to));
     }
 }
 
@@ -362,6 +546,80 @@ TEST(TilePlacement, NearestFreeIsDeterministicAndNear)
     ASSERT_TRUE(a && b);
     EXPECT_EQ(*a, *b);
     EXPECT_EQ(std::abs(a->x - 5) + std::abs(a->y - 2), 1);
+}
+
+namespace {
+
+/** Brute-force reference: the ring walk over the whole grid with a
+ *  per-tile band test, as the filtered search was first written. */
+std::optional<TileCoord>
+filteredRingWalk(const TilePlacement &placement, const TileCoord &near,
+                 TileBand band)
+{
+    const int max_radius = placement.tileWidth() + placement.tileHeight();
+    for (int r = 0; r <= max_radius; ++r) {
+        for (int dx = r; dx >= -r; --dx) {
+            const int dy_mag = r - std::abs(dx);
+            for (int sign : {-1, +1}) {
+                if (dy_mag == 0 && sign == +1)
+                    continue;
+                const TileCoord t{near.x + dx, near.y + sign * dy_mag};
+                if (placement.inBounds(t)
+                    && placement.occupantOf(t) == kNoEntity
+                    && t.x >= band.begin && t.x < band.end)
+                    return t;
+            }
+        }
+    }
+    return std::nullopt;
+}
+
+} // namespace
+
+TEST(TilePlacement, NearestFreeBandMatchesFilteredRingWalk)
+{
+    Rng rng(4242);
+    for (int trial = 0; trial < 200; ++trial) {
+        TilePlacement placement(1 + static_cast<int>(rng.uniformInt(6)),
+                                1 + static_cast<int>(rng.uniformInt(6)),
+                                1 + static_cast<int>(rng.uniformInt(3)));
+        const int width = placement.tileWidth();
+        const int height = placement.tileHeight();
+        // Per-column fill: some columns full, some empty, some mixed.
+        EntityId next = 0;
+        for (int x = 0; x < width; ++x) {
+            const double fill = std::array{0.0, 1.0, 0.5, 0.9}
+                [rng.uniformInt(4)];
+            for (int y = 0; y < height; ++y)
+                if (rng.bernoulli(fill))
+                    placement.assign(next++, {x, y});
+        }
+        // Releases exercise the free-count bookkeeping in both
+        // directions.
+        for (const EntityId e : placement.placedEntities())
+            if (rng.bernoulli(0.1))
+                placement.release(e);
+        ASSERT_TRUE(placement.isBijective());
+        for (int q = 0; q < 30; ++q) {
+            const TileCoord near{
+                static_cast<int>(rng.uniformInt(width)),
+                static_cast<int>(rng.uniformInt(height))};
+            TileBand band;
+            if (q % 5 != 0) { // every fifth query: the whole grid
+                band.begin =
+                    static_cast<int>(rng.uniformInt(width + 3)) - 1;
+                band.end = band.begin - 1
+                    + static_cast<int>(rng.uniformInt(width + 3));
+            }
+            const auto expected = filteredRingWalk(placement, near, band);
+            const auto got = placement.nearestFree(near, band);
+            ASSERT_EQ(got.has_value(), expected.has_value())
+                << "band [" << band.begin << ", " << band.end << ")";
+            if (got) {
+                EXPECT_EQ(*got, *expected);
+            }
+        }
+    }
 }
 
 TEST(TilePlacement, DriftMovesTowardPartnerIsland)
@@ -689,6 +947,95 @@ TEST(CoSim, SweepIsThreadCountInvariant)
     const auto stats = reduceCoSimSweep(serial);
     EXPECT_EQ(stats.makespanWindows.count(), serial.size());
     EXPECT_EQ(stats.stalledRuns.trials(), serial.size());
+}
+
+namespace {
+
+/**
+ * @p text with every floating-point field (a value holding '.' or 'e')
+ * reprinted to 9 decimal places. The final digits of the noisy
+ * slice's fidelity statistics depend on whether the compiler fuses
+ * multiply-adds: a Debug/ASan build prints other last digits of
+ * fidMean, fidMin and resid than a -march=native Release build, while
+ * every count agrees.
+ */
+std::string
+floatFieldsToNineDecimals(const std::string &text)
+{
+    std::string out;
+    std::istringstream lines(text);
+    std::string line;
+    while (std::getline(lines, line)) {
+        std::istringstream fields(line);
+        std::string field;
+        const char *sep = "";
+        while (fields >> field) {
+            const auto eq = field.find('=');
+            if (eq != std::string::npos
+                && field.find_first_of(".e", eq) != std::string::npos) {
+                char buf[48];
+                std::snprintf(buf, sizeof(buf), "%.9f",
+                              std::stod(field.substr(eq + 1)));
+                field = field.substr(0, eq + 1) + buf;
+            }
+            out += sep + field;
+            sep = " ";
+        }
+        out += '\n';
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(CoSim, ReportDigestsArePinned)
+{
+    // Tripwire for result identity across commits: the determinism
+    // gate's interconnect configurations (clean, noisy and CQLA split,
+    // as in tools/determinism_gate.cc) must keep printing these
+    // reports -- every count exactly, floating-point fields to 9
+    // decimals so the pin holds in every CI build. A deliberate change
+    // of results re-pins the digests and says so in CHANGES.md.
+    auto workloads = [](bool with_qft) {
+        std::vector<ProgramWorkload> out;
+        out.emplace_back(apps::toffoliNetworkCircuit(15, 12));
+        out.emplace_back(apps::qclaAdderCircuit(16));
+        if (with_qft)
+            out.emplace_back(
+                apps::bandedQftCircuit(24, apps::qftBandWidth(24)));
+        return out;
+    };
+    CoSimSweepConfig clean;
+    clean.bandwidths = {1, 2, 4};
+    clean.seeds = {1, 2};
+    clean.base.placement = PlacementStrategy::Random;
+    clean.threads = 2;
+
+    CoSimSweepConfig noisy = clean;
+    noisy.bandwidths = {2, 4};
+    noisy.seeds = {1};
+    noisy.faultRates = {0.0, 0.05};
+    noisy.purificationLevels = {0, 2};
+    noisy.linkFidelities = {1.0, 0.96};
+    noisy.base.fidelity.opError = 1e-4;
+    noisy.base.fidelity.deliveryThreshold = 0.88;
+    noisy.base.fidelity.retryBudget = 2;
+
+    CoSimSweepConfig hierarchy = clean;
+    hierarchy.bandwidths = {2, 4};
+    hierarchy.seeds = {1};
+    hierarchy.computeFractions = {1.0, 0.2};
+    hierarchy.memoryCodeLevels = {1};
+
+    auto digest = [](const std::vector<ProgramWorkload> &w,
+                     const CoSimSweepConfig &c) {
+        return serve::fnv1a64(floatFieldsToNineDecimals(
+            formatCoSimSweep(runCoSimSweep(w, c))));
+    };
+    EXPECT_EQ(digest(workloads(true), clean), 0x4ddc6aa8d31400a1ULL);
+    EXPECT_EQ(digest(workloads(false), noisy), 0xb7ada24aaec61b7cULL);
+    EXPECT_EQ(digest(workloads(false), hierarchy),
+              0x23fa4ebf27d993f3ULL);
 }
 
 TEST(CoSim, AncillaAllocationPressureIsDiagnosable)

@@ -98,6 +98,36 @@ TEST(SweepJobSpec, RoundTripsThroughCanonicalText)
         EXPECT_EQ(spec.configHash(), reparsed.configHash());
         EXPECT_EQ(spec.canonicalText(), reparsed.canonicalText());
     }
+    // Every spec parse accepts round-trips, including hand-written
+    // variants whose canonical text differs from the request.
+    for (const char *text :
+         {"kind threshold\nerrors 1e-3 -0 1\nshots 0\n",
+          "kind threshold\nerrors 2e-3\nworkload qcla 8\n",
+          "kind cosim\nworkload qcla 16 3\nworkload qft 32\n"
+          "seeds -5 +7\npurifications -0 2\nerrors 1e-3\n"}) {
+        SweepJobSpec parsed, reparsed;
+        std::string error;
+        ASSERT_TRUE(SweepJobSpec::parse(text, parsed, error))
+            << text << ": " << error;
+        ASSERT_TRUE(
+            SweepJobSpec::parse(parsed.canonicalText(), reparsed, error))
+            << parsed.canonicalText() << ": " << error;
+        EXPECT_EQ(parsed.canonicalText(), reparsed.canonicalText());
+        EXPECT_EQ(parsed.configHash(), reparsed.configHash());
+    }
+    // A default spec has no error rates, so parse does not accept it:
+    // its canonical text (an empty 'errors' line) is rejected with the
+    // same clear error as a request that omits the line.
+    for (const std::string &text :
+         {SweepJobSpec{}.canonicalText(), std::string("kind threshold\n"),
+          std::string("kind threshold\nerrors   \nshots 10\n")}) {
+        SweepJobSpec parsed;
+        std::string error;
+        EXPECT_FALSE(SweepJobSpec::parse(text, parsed, error)) << text;
+        EXPECT_NE(error.find("non-empty 'errors' list"),
+                  std::string::npos)
+            << text << ": " << error;
+    }
 }
 
 TEST(SweepJobSpec, RejectsMalformedRequests)
