@@ -9,15 +9,18 @@ Two checks, both hard failures:
    relative to the linking file (absolute /-prefixed targets resolve
    from the repo root).
 
-2. docs/determinism.md must document every determinism-gate flag.
-   The authoritative flag list is parsed from the option handling in
-   tools/determinism_gate.cc (the `arg == "--flag"` comparisons), so
-   adding a gate axis without documenting it fails CI.
+2. docs/determinism.md must document exactly the determinism-gate
+   flags. The authoritative flag list is parsed from the option
+   handling in tools/determinism_gate.cc (the `arg == "--flag"`
+   comparisons), so adding a gate axis without documenting it fails
+   CI -- and so does a row of the page's flag table (a line starting
+   "| `--flag") whose flag the gate no longer parses.
 
 Usage: check_docs.py [--root REPO_ROOT]
 
-Exit status: 0 when both checks pass, 1 on any broken link or
-undocumented flag, 2 for usage errors (missing files to check).
+Exit status: 0 when both checks pass, 1 on any broken link,
+undocumented flag or stale flag row, 2 for usage errors (missing files
+to check).
 """
 
 import argparse
@@ -29,6 +32,8 @@ import sys
 # by matching the bracket pair itself.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 FLAG_RE = re.compile(r"arg\s*==\s*\"(--[a-z-]+)\"")
+# A flag-table row: | `--flag ARG` | meaning |
+DOC_FLAG_ROW_RE = re.compile(r"^\|\s*`(--[a-z-]+)", re.MULTILINE)
 
 
 def markdown_files(root):
@@ -84,8 +89,13 @@ def check_gate_flags(root):
         return ["no flags parsed from tools/determinism_gate.cc -- "
                 "has the option-handling idiom changed?"]
     doc_text = determinism_doc.read_text(encoding="utf-8")
-    return [f"docs/determinism.md: determinism-gate flag {flag} "
-            "is undocumented" for flag in flags if flag not in doc_text]
+    problems = [f"docs/determinism.md: determinism-gate flag {flag} "
+                "is undocumented" for flag in flags if flag not in doc_text]
+    problems += [f"docs/determinism.md: flag table documents {flag}, "
+                 "which tools/determinism_gate.cc does not parse"
+                 for flag in sorted(set(DOC_FLAG_ROW_RE.findall(doc_text)))
+                 if flag not in flags]
+    return problems
 
 
 def main(argv):

@@ -4,7 +4,7 @@
  *
  * The batched twin of LogicalQubitExperiment: the Figure-5 tile schedule
  * is recorded once as flat FrameTraces (arq/frame_trace.h) and replayed
- * on the BatchedPauliFrame engine, with the experiment's data-dependent
+ * on word-parallel GroupPauliFrames, with the experiment's data-dependent
  * control flow -- verified-preparation retry, syndrome-conditioned
  * re-extraction, per-lane corrections -- driven by narrowing lane masks
  * instead of branching per shot. All classical processing (syndrome
@@ -15,11 +15,13 @@
  * Shot groups: the experiment simulates BatchOptions::groupWords words
  * (up to kMaxGroupWords x 64 shots) in lockstep, each word with its own
  * frame and noise model. Running words side by side is what enables
- * lane compaction: when the surviving lanes of a verified-preparation
- * retry drop below a fill threshold across the group, they are
- * regrouped -- rng streams and noise clocks carried along -- into
- * fresh dense words (arq/lane_compaction.h) instead of replaying every
- * nearly-empty word.
+ * lane compaction (arq/lane_compaction.h): far above threshold, the
+ * surviving lanes of a sparse verified-preparation retry regroup -- rng
+ * streams and noise clocks carried along -- into dense words of the
+ * retry pool, and sparse level-2 "Start Over" rounds and repeated
+ * level-2 extractions migrate into a dense twin experiment, instead of
+ * replaying every nearly-empty word. All other segments replay in
+ * place.
  *
  * Noise is sampled per lane from RngFamily streams indexed by the global
  * shot number, so a shot's result is independent of which 64-shot word
@@ -213,20 +215,6 @@ class BatchedLogicalQubitExperiment
     bool compactionWorthwhile(const LaneSet &mask,
                               std::size_t sites) const;
 
-    /**
-     * Fill-fraction heuristic for routing one sparse trace segment
-     * (the level-1 repeat extraction, the level-2 verification pair,
-     * the level-2 encoding network) through the segment pool: migrate
-     * when regrouping saves at least one word replay and the lane
-     * count is below BatchOptions::migrationFillThreshold of the saved
-     * words' capacity, scaled by @p ops_scale (the segment's replay
-     * weight in prep-round equivalents -- heavier segments amortize
-     * the per-lane transplant over more avoided work). Execution shape
-     * only: results are bit-identical for every threshold.
-     */
-    bool segmentWorthwhile(const LaneSet &mask,
-                           std::size_t ops_scale) const;
-
     //
     // Subtree regrouping: the two retry-heavy far-above-threshold
     // subtrees -- the level-2 "Start Over" rounds and the repeated
@@ -322,7 +310,7 @@ class BatchedLogicalQubitExperiment
     std::unique_ptr<PrepRetryPool> retry_pool_;
 
     /** False in the twin itself (no recursive twin regrouping; the
-     *  relocated-trace segment pool still runs inside the twin). */
+     *  verified-prep retry pool still runs inside the twin). */
     bool subtree_enabled_ = true;
     std::unique_ptr<BatchedLogicalQubitExperiment> twin_; // lazy
     std::unique_ptr<SegmentPool> twin_pool_;              // lazy

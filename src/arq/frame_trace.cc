@@ -645,21 +645,6 @@ replayTile(std::size_t tile, const FrameTrace &trace, std::uint64_t *x,
 } // namespace
 
 void
-replayTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
-            BatchedNoiseModel &noise, std::uint64_t active,
-            std::vector<std::uint64_t> &flips)
-{
-    // The single-word replay is the W = 1, compile-time-stride-1 tile.
-    // An inactive word walks no clock (the tile still pushes zero flip
-    // words).
-    flips.reserve(flips.size() + trace.numMeasurements);
-    planTraceDraws(trace, noise, active);
-    replayTraceTile<1, 1>(trace, frame.xData(), frame.zData(), 1, &noise,
-                          &active, &flips);
-    verifyTracePlans(trace, noise, active);
-}
-
-void
 replayTraceGroup(const FrameTrace &trace,
                  quantum::GroupPauliFrames &frames,
                  BatchedNoiseModel *models, const std::uint64_t *masks,
@@ -677,10 +662,10 @@ replayTraceGroup(const FrameTrace &trace,
         flips[w].reserve(trace.numMeasurements);
     }
 
-    // Single-word fast path: a one-word group with packed rows is
-    // exactly the replayTrace shape, so skip the tile-carving loop and
-    // run the compile-time-stride-1 kernel directly -- this is the L2
-    // failureRate probe's whole batch.
+    // Single-word fast path: a one-word group with packed rows skips
+    // the tile-carving loop and runs the compile-time-stride-1 kernel
+    // directly -- the retry pool's every replay and the L2 failureRate
+    // probe's whole batch.
     if (num_words == 1 && stride == 1) {
         if (!masks[0])
             return;

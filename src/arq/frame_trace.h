@@ -275,30 +275,6 @@ struct BatchedNoiseModel
      */
     void rearm(const RngFamily &family, std::uint64_t first_shot);
 
-    /**
-     * Move one lane's migratable identity into @p dst: the rng stream
-     * by value, and -- for each of the @p num_classes class pairs --
-     * the lane's clock, exported from this model's draws[src_cls[c]]
-     * and imported at @p dst_lane of @p dst's draws[dst_cls[c]]. This
-     * is the per-lane reference semantics of segment migration;
-     * arq::SegmentPool's bulk transplants perform exactly these moves
-     * but loop class-outer across a whole chunk of lanes for cache
-     * locality (clock moves between distinct (clock, lane) slots
-     * commute). The class pairing must cover every class the migrated
-     * segment can sample (clocks of unlisted classes stay put, which is
-     * exactly right for classes the segment never replays), and each
-     * pair must carry the same probability (asserted).
-     */
-    void moveLaneTo(BatchedNoiseModel &dst, std::size_t dst_lane,
-                    std::size_t src_lane, const std::uint8_t *src_cls,
-                    const std::uint8_t *dst_cls, std::size_t num_classes)
-    {
-        dst.lanes[dst_lane] = lanes[src_lane];
-        for (std::size_t c = 0; c < num_classes; ++c)
-            draws[src_cls[c]].moveLaneTo(dst.draws[dst_cls[c]], dst_lane,
-                                         src_lane);
-    }
-
     LaneRngs lanes;
     /** One clock per noise class. */
     std::vector<ClassDrawSampler> draws;
@@ -307,31 +283,24 @@ struct BatchedNoiseModel
 };
 
 /**
- * Replay @p trace on @p frame for the lanes in @p active. Measurement
- * flip words are appended to @p flips in op order (the caller clears the
- * buffer between replays). Takes the concrete engine so every gate and
- * readout compiles to direct word operations -- replay is the Monte
- * Carlo's innermost loop. The trace must be finalized
- * (finalizeTraceClassSites) against the model's class table.
- */
-void replayTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
-                 BatchedNoiseModel &noise, std::uint64_t active,
-                 std::vector<std::uint64_t> &flips);
-
-/**
  * Replay @p trace on all @p num_words words of a shot group at once,
  * tiled into SIMD planes of up to four words (256-bit frame arithmetic
  * where the compiler can vectorize; tiles of 4, 2 and 1 words are
  * carved greedily from the range, so any group width works). Word w
  * replays under mask masks[w] with models[w]; its flip words are
- * cleared and then appended to flips[w] in op order. Words whose mask is zero inside an active
- * tile get zero flip words (length stays aligned); all-inactive tiles
- * are skipped entirely and their flip buffers only cleared.
+ * cleared and then appended to flips[w] in op order. Words whose mask
+ * is zero inside an active tile get zero flip words (length stays
+ * aligned); all-inactive tiles are skipped entirely and their flip
+ * buffers only cleared. Takes the concrete frame type so every gate
+ * and readout compiles to direct word operations -- replay is the
+ * Monte Carlo's innermost loop. The trace must be finalized
+ * (finalizeTraceClassSites) against the models' class table.
  *
- * Each word's lane randomness is consumed exactly as a lone
- * replayTrace of that word would consume it, so results are
- * bit-identical for every group width and tile carving -- the planes
- * only restructure the frame arithmetic.
+ * Each word's lane randomness is consumed exactly as a one-word group
+ * replay of that word would consume it, so results are bit-identical
+ * for every group width and tile carving -- the planes only
+ * restructure the frame arithmetic. A one-word group with packed rows
+ * (stride 1) runs the compile-time-stride-1 kernel directly.
  */
 void replayTraceGroup(const FrameTrace &trace,
                       quantum::GroupPauliFrames &frames,

@@ -62,13 +62,11 @@ SegmentPool::transplantIn(std::size_t k,
 {
     // Each migrated lane carries its identity: rng stream by value,
     // noise clocks exported from the home word's clocks and imported
-    // into the dense word's clocks of the mapped class (the same
-    // per-lane transplant BatchedNoiseModel::moveLaneTo performs). The
-    // loops run class-outer rather than lane-outer purely for locality:
-    // clock moves between distinct (clock, lane) slots commute, and
-    // with the refs (word, lane)-sorted each home word's clock -- and
-    // the dense word's -- stays cache-hot across its whole run of
-    // lanes.
+    // into the dense word's clocks of the mapped class. The loops run
+    // class-outer rather than lane-outer purely for locality: clock
+    // moves between distinct (clock, lane) slots commute, and with the
+    // refs (word, lane)-sorted each home word's clock -- and the dense
+    // word's -- stays cache-hot across its whole run of lanes.
     const LaneRef *refs = refs_.data() + k * kBatchLanes;
     const std::size_t lanes = chunkLanes(k);
     for (std::size_t j = 0; j < lanes; ++j)
@@ -103,8 +101,8 @@ SegmentPool::transplantOut(std::size_t k,
 
 void
 SegmentPool::gatherRow(std::size_t k, const quantum::GroupPauliFrames &home,
-                       std::size_t home_q, quantum::BatchedPauliFrame &dense,
-                       std::size_t dense_q) const
+                       std::size_t home_q, quantum::GroupPauliFrames &dense,
+                       std::size_t dense_word, std::size_t dense_q) const
 {
     // The refs are (word, lane)-sorted, so the lanes of each home word
     // sit in one contiguous run of dense slots and every (qubit, word)
@@ -119,43 +117,7 @@ SegmentPool::gatherRow(std::size_t k, const quantum::GroupPauliFrames &home,
         z_acc |= extractBits(home.zWord(w, home_q), plan.home[w])
             << plan.slot0[w];
     }
-    dense.storeMasked(dense_q, chunkMask(k), x_acc, z_acc);
-}
-
-void
-SegmentPool::gatherRow(std::size_t k, const quantum::GroupPauliFrames &home,
-                       std::size_t home_q, quantum::GroupPauliFrames &dense,
-                       std::size_t dense_word, std::size_t dense_q) const
-{
-    const LaneChunkPlan &plan = plans_[k];
-    std::uint64_t x_acc = 0;
-    std::uint64_t z_acc = 0;
-    for (std::uint32_t ws = plan.words; ws; ws &= ws - 1) {
-        const std::size_t w = std::countr_zero(ws);
-        x_acc |= extractBits(home.xWord(w, home_q), plan.home[w])
-            << plan.slot0[w];
-        z_acc |= extractBits(home.zWord(w, home_q), plan.home[w])
-            << plan.slot0[w];
-    }
     dense.storeMasked(dense_word, dense_q, chunkMask(k), x_acc, z_acc);
-}
-
-void
-SegmentPool::scatterRow(std::size_t k, quantum::GroupPauliFrames &home,
-                        std::size_t home_q,
-                        const quantum::BatchedPauliFrame &dense,
-                        std::size_t dense_q) const
-{
-    const LaneChunkPlan &plan = plans_[k];
-    const std::uint64_t x_word = dense.xWord(dense_q);
-    const std::uint64_t z_word = dense.zWord(dense_q);
-    for (std::uint32_t ws = plan.words; ws; ws &= ws - 1) {
-        const std::size_t w = std::countr_zero(ws);
-        home.storeMasked(
-            w, home_q, plan.home[w],
-            depositBits(x_word >> plan.slot0[w], plan.home[w]),
-            depositBits(z_word >> plan.slot0[w], plan.home[w]));
-    }
 }
 
 void
@@ -188,110 +150,47 @@ SegmentPool::scatterPlane(std::size_t k, std::uint64_t dense_plane,
     }
 }
 
-namespace {
-
-/** Pool class ids referenced by a trace's fault and readout sites. */
-void
-collectTraceClasses(const FrameTrace &trace, bool (&used)[256])
-{
-    for (const FrameOp &op : trace.ops) {
-        switch (op.kind) {
-          case FrameOp::Kind::Noise1:
-          case FrameOp::Kind::Noise2:
-          case FrameOp::Kind::MeasureZ:
-          case FrameOp::Kind::MeasureX:
-          case FrameOp::Kind::NoisyH:
-          case FrameOp::Kind::Noise1Range:
-          case FrameOp::Kind::MeasureZRange:
-          case FrameOp::Kind::MeasureXRange:
-            used[op.cls] = true;
-            break;
-          case FrameOp::Kind::NoisyCnotMT:
-          case FrameOp::Kind::NoisyCnotMC:
-            used[op.cls] = true;
-            used[op.cls2] = true;
-            break;
-          case FrameOp::Kind::NoisyCnotMTMeasZ:
-          case FrameOp::Kind::NoisyCnotMTMeasX:
-          case FrameOp::Kind::NoisyCnotMCMeasZ:
-          case FrameOp::Kind::NoisyCnotMCMeasX:
-            used[op.cls] = true;
-            used[op.cls2] = true;
-            used[op.cls3] = true;
-            break;
-          // Exhaustive over the classless kinds (no default): adding a
-          // FrameOp kind must force a decision here, or a migrated
-          // lane could sample a class whose clock never transplanted.
-          case FrameOp::Kind::H:
-          case FrameOp::Kind::S:
-          case FrameOp::Kind::Cnot:
-          case FrameOp::Kind::Cz:
-          case FrameOp::Kind::Swap:
-          case FrameOp::Kind::Reset:
-          case FrameOp::Kind::ResetRange:
-            break;
-        }
-    }
-}
-
-} // namespace
-
 PrepRetryPool::PrepRetryPool(const ecc::CssCode &code,
                              const TileRowRecorder &recorder,
                              int max_prep_attempts,
                              const NoiseClassTable &parent_classes,
                              const std::vector<std::uint8_t>
                                  &shadow_of_primary)
-    : code_(code), n_(code.blockLength()),
-      max_prep_attempts_(max_prep_attempts),
-      frame_(std::max(3 * code.blockLength(),
-                      code.blockLength() * code.blockLength())),
+    : n_(code.blockLength()), max_prep_attempts_(max_prep_attempts),
+      frame_(2 * code.blockLength(), 1),
       model_([&]() -> const NoiseClassTable & {
-          // Record the relocated segments with the same recorder that
+          // Record the relocated prep rounds with the same recorder that
           // produced the parent traces: identical op sequences,
           // pool-local class ids.
-          const std::size_t n = code.blockLength();
           for (const bool plus : {false, true}) {
               FrameTraceBuilder prep(classes_);
-              recorder.prepRound(prep, 0, n, plus);
+              recorder.prepRound(prep, 0, code.blockLength(), plus);
               prep_traces_[plus ? 1 : 0] = prep.take();
-              FrameTraceBuilder verify(classes_);
-              recorder.verifyPair(verify, 0, n, plus);
-              verify_traces_[plus ? 1 : 0] = verify.take();
-              FrameTraceBuilder network(classes_);
-              recorder.l2Network(network, 0, n, plus);
-              network_traces_[plus ? 1 : 0] = network.take();
-          }
-          for (const bool detect_x : {false, true}) {
-              FrameTraceBuilder extract(classes_);
-              recorder.extractRound(extract, 2 * n, 0, detect_x);
-              extract_traces_[detect_x ? 1 : 0] = extract.take();
           }
           return classes_;
       }())
 {
     // The class table is final only now (recording above may have added
     // classes), so the per-class site counts and fire-plan skeletons
-    // that drive trace-level batched draws are finalized here, over
-    // every relocated trace.
-    for (auto *pair : {&prep_traces_, &verify_traces_, &network_traces_,
-                       &extract_traces_})
-        for (FrameTrace &trace : *pair)
-            finalizeTraceClassSites(trace, classes_);
+    // that drive trace-level batched draws are finalized here.
+    for (FrameTrace &trace : prep_traces_)
+        finalizeTraceClassSites(trace, classes_);
 
     // Map each pool class to the parent's *shadow* class of the same
-    // probability: pooled segments always replay shadow sites, so a
+    // probability: pooled retries always replay shadow sites, so a
     // migrated lane's clock transplants between its home shadow sampler
     // and the pool sampler of the matching class. Probabilities
-    // identify the class uniquely because classOf deduplicates.
+    // identify the class uniquely because classOf deduplicates. The
+    // pool records nothing but the prep traces, so every pool class is
+    // one they sample and the map covers the whole table.
     const auto &pool_probs = classes_.probabilities();
     const auto &parent_probs = parent_classes.probabilities();
-    std::vector<std::uint8_t> shadow_of_pool(pool_probs.size());
     for (std::size_t c = 0; c < pool_probs.size(); ++c) {
         bool found = false;
         for (std::size_t k = 0; k < shadow_of_primary.size(); ++k) {
             if (parent_probs[k] == pool_probs[c]) {
-                shadow_of_pool[c] = shadow_of_primary[k];
+                home_classes_.push_back(shadow_of_primary[k]);
+                pool_classes_.push_back(static_cast<std::uint8_t>(c));
                 found = true;
                 break;
             }
@@ -299,36 +198,12 @@ PrepRetryPool::PrepRetryPool(const ecc::CssCode &code,
         qla_assert(found, "pool noise class missing from parent table");
     }
 
-    // Each segment kind transplants exactly the classes its traces
-    // reference (derived from the recorded ops, so it can never drift
-    // from the replay); runExtract also runs the prep retry loop, so
-    // its set is the union of the two.
-    const auto buildClasses = [&](SegmentClasses &seg,
-                                  std::initializer_list<
-                                      const std::array<FrameTrace, 2> *>
-                                      traces) {
-        bool used[256] = {};
-        for (const auto *pair : traces)
-            for (const FrameTrace &trace : *pair)
-                collectTraceClasses(trace, used);
-        for (std::size_t c = 0; c < pool_probs.size(); ++c) {
-            if (!used[c])
-                continue;
-            seg.dense.push_back(static_cast<std::uint8_t>(c));
-            seg.home.push_back(shadow_of_pool[c]);
-        }
-    };
-    buildClasses(prep_classes_, {&prep_traces_});
-    buildClasses(verify_classes_, {&verify_traces_});
-    buildClasses(network_classes_, {&network_traces_});
-    buildClasses(extract_classes_, {&prep_traces_, &extract_traces_});
-
-    for (const ecc::QubitMask row : code_.xChecks())
+    for (const ecc::QubitMask row : code.xChecks())
         x_check_bits_.push_back(bitListOf(row));
-    for (const ecc::QubitMask row : code_.zChecks())
+    for (const ecc::QubitMask row : code.zChecks())
         z_check_bits_.push_back(bitListOf(row));
-    logical_x_bits_ = bitListOf(code_.logicalX());
-    logical_z_bits_ = bitListOf(code_.logicalZ());
+    logical_x_bits_ = bitListOf(code.logicalX());
+    logical_z_bits_ = bitListOf(code.logicalZ());
     flips_.reserve(n_);
 }
 
@@ -339,16 +214,16 @@ PrepRetryPool::runRetries(bool plus, const LaneSet &mask, int first_attempt,
                           std::size_t role_q0, ExperimentStats *stats)
 {
     mig_.plan(mask);
-    const SamplerClassMap prep_map = prep_classes_.map();
+    const SamplerClassMap map = classMap();
     for (std::size_t k = 0; k < mig_.chunkCount(); ++k) {
-        mig_.transplantIn(k, models, model_, prep_map);
+        mig_.transplantIn(k, models, model_, map);
         runAttempts(plus, mig_.chunkMask(k), first_attempt, stats);
         // Only the prepared row survives: the verification row is
         // re-encoded (reset first) before every later use, so its
         // residual is dead state and needs no scatter.
         for (std::size_t i = 0; i < n_; ++i)
-            mig_.scatterRow(k, frames, role_q0 + i, frame_, i);
-        mig_.transplantOut(k, models, model_, prep_map);
+            mig_.scatterRow(k, frames, role_q0 + i, frame_, 0, i);
+        mig_.transplantOut(k, models, model_, map);
     }
 }
 
@@ -361,132 +236,16 @@ PrepRetryPool::runPrepSeries(bool plus, const LaneSet &mask,
                              ExperimentStats *stats)
 {
     mig_.plan(mask);
-    const SamplerClassMap prep_map = prep_classes_.map();
+    const SamplerClassMap map = classMap();
     for (std::size_t k = 0; k < mig_.chunkCount(); ++k) {
-        mig_.transplantIn(k, models, model_, prep_map);
+        mig_.transplantIn(k, models, model_, map);
         for (std::size_t s = 0; s < num_sites; ++s) {
             runAttempts(plus, mig_.chunkMask(k), 1, stats);
             for (std::size_t i = 0; i < n_; ++i)
-                mig_.scatterRow(k, frames, site_role_q0[s] + i, frame_, i);
+                mig_.scatterRow(k, frames, site_role_q0[s] + i, frame_, 0,
+                                i);
         }
-        mig_.transplantOut(k, models, model_, prep_map);
-    }
-}
-
-void
-PrepRetryPool::runExtract(bool detect_x, const LaneSet &mask,
-                          std::size_t data_q0,
-                          quantum::GroupPauliFrames &frames,
-                          std::vector<BatchedNoiseModel> &models,
-                          SyndromePlanes *synd, ExperimentStats *stats)
-{
-    // The planes scatter by OR; the in-place extraction assigns the
-    // active words' planes whole, so clear them first.
-    for (std::uint32_t w = 0; w < mask.n; ++w)
-        if (mask.w[w])
-            synd[w] = SyndromePlanes{};
-    const auto &rows = detect_x ? z_check_bits_ : x_check_bits_;
-    const std::size_t num_checks = rows.size();
-    std::uint64_t nontrivial = 0;
-    std::uint64_t total = 0;
-    mig_.plan(mask);
-    const SamplerClassMap extract_map = extract_classes_.map();
-    for (std::size_t k = 0; k < mig_.chunkCount(); ++k) {
-        mig_.transplantIn(k, models, model_, extract_map);
-        for (std::size_t i = 0; i < n_; ++i)
-            mig_.gatherRow(k, frames, data_q0 + i, frame_, 2 * n_ + i);
-        const std::uint64_t dense = mig_.chunkMask(k);
-        // Verified ancilla preparation into rows [0, 2n), mirroring the
-        // in-place prepVerified loop, then the extract round against
-        // the data row.
-        runAttempts(detect_x, dense, 1, stats);
-        flips_.clear();
-        replayTrace(extract_traces_[detect_x ? 1 : 0], frame_, model_,
-                    dense, flips_);
-        SyndromePlanes planes{};
-        for (std::size_t j = 0; j < num_checks; ++j)
-            planes[j] = parityPlane(rows[j], flips_.data());
-        for (std::size_t j = 0; j < num_checks; ++j)
-            mig_.scatterPlane(k, planes[j], &synd[0][j],
-                              std::tuple_size_v<SyndromePlanes>);
-        nontrivial += std::popcount(orPlanes(planes, num_checks) & dense);
-        total += mig_.chunkLanes(k);
-        // The extract round's CNOTs rewrite the data row; the ancilla
-        // and verification rows are dead state (re-encoded before every
-        // later use) and stay behind.
-        for (std::size_t i = 0; i < n_; ++i)
-            mig_.scatterRow(k, frames, data_q0 + i, frame_, 2 * n_ + i);
-        mig_.transplantOut(k, models, model_, extract_map);
-    }
-    if (stats)
-        stats->nontrivialSyndrome.addBulk(nontrivial, total);
-}
-
-void
-PrepRetryPool::runVerifySeries(bool plus, const LaneSet &mask,
-                               const std::size_t *site_q0,
-                               std::size_t num_sites,
-                               quantum::GroupPauliFrames &frames,
-                               std::vector<BatchedNoiseModel> &models,
-                               std::array<std::uint64_t, 32> *site_planes)
-{
-    const auto &rows = plus ? x_check_bits_ : z_check_bits_;
-    const std::size_t num_checks = rows.size();
-    const BitList &logical = plus ? logical_x_bits_ : logical_z_bits_;
-    mig_.plan(mask);
-    const SamplerClassMap verify_map = verify_classes_.map();
-    for (std::size_t k = 0; k < mig_.chunkCount(); ++k) {
-        mig_.transplantIn(k, models, model_, verify_map);
-        const std::uint64_t dense = mig_.chunkMask(k);
-        for (std::size_t s = 0; s < num_sites; ++s) {
-            for (std::size_t i = 0; i < n_; ++i)
-                mig_.gatherRow(k, frames, site_q0[s] + i, frame_, i);
-            flips_.clear();
-            replayTrace(verify_traces_[plus ? 1 : 0], frame_, model_,
-                        dense, flips_);
-            SyndromePlanes synd{};
-            for (std::size_t j = 0; j < num_checks; ++j)
-                synd[j] = parityPlane(rows[j], flips_.data());
-            std::array<std::uint64_t, 32> corr{};
-            lookupCorrectionWords(code_, !plus, synd, num_checks,
-                                  corr.data());
-            std::uint64_t plane = 0;
-            for (std::size_t j = 0; j < logical.count; ++j) {
-                const std::size_t i = logical.idx[j];
-                plane ^= flips_[i] ^ corr[i];
-            }
-            mig_.scatterPlane(k, plane & dense, &site_planes[0][s], 32);
-            // The verification round's CNOTs rewrite the data row.
-            for (std::size_t i = 0; i < n_; ++i)
-                mig_.scatterRow(k, frames, site_q0[s] + i, frame_, i);
-        }
-        mig_.transplantOut(k, models, model_, verify_map);
-    }
-}
-
-void
-PrepRetryPool::runNetwork(bool plus, const LaneSet &mask,
-                          const std::size_t *row_q0, std::size_t num_rows,
-                          quantum::GroupPauliFrames &frames,
-                          std::vector<BatchedNoiseModel> &models)
-{
-    qla_assert(num_rows <= n_);
-    mig_.plan(mask);
-    const SamplerClassMap network_map = network_classes_.map();
-    for (std::size_t k = 0; k < mig_.chunkCount(); ++k) {
-        mig_.transplantIn(k, models, model_, network_map);
-        for (std::size_t g = 0; g < num_rows; ++g)
-            for (std::size_t i = 0; i < n_; ++i)
-                mig_.gatherRow(k, frames, row_q0[g] + i, frame_,
-                               g * n_ + i);
-        flips_.clear();
-        replayTrace(network_traces_[plus ? 1 : 0], frame_, model_,
-                    mig_.chunkMask(k), flips_);
-        for (std::size_t g = 0; g < num_rows; ++g)
-            for (std::size_t i = 0; i < n_; ++i)
-                mig_.scatterRow(k, frames, row_q0[g] + i, frame_,
-                                g * n_ + i);
-        mig_.transplantOut(k, models, model_, network_map);
+        mig_.transplantOut(k, models, model_, map);
     }
 }
 
@@ -503,8 +262,10 @@ PrepRetryPool::runAttempts(bool plus, std::uint64_t mask,
     // migrated lane (they all survived the same earlier attempts).
     int attempt = first_attempt;
     for (;;) {
-        flips_.clear();
-        replayTrace(trace, frame_, model_, mask, flips_);
+        // A one-word packed group: replayTraceGroup's single-word fast
+        // path, the same replayTraceTile<1, 1> kernel as any one-word
+        // group.
+        replayTraceGroup(trace, frame_, &model_, &mask, 1, &flips_);
         SyndromePlanes synd{};
         const auto &rows = plus ? x_check_bits_ : z_check_bits_;
         for (std::size_t j = 0; j < rows.size(); ++j)

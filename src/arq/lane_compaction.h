@@ -7,35 +7,32 @@
  * active -- so far above threshold, where verification failures and
  * syndrome-conditioned repeats are common, nearly-empty replays dominate
  * the batched engine's word-wide retry amplification. The cure is
- * regrouping: when the surviving lanes of a sparse segment drop below a
- * fill threshold across a shot group's words, they migrate into fresh
+ * regrouping: the surviving lanes of a sparse retry migrate into fresh
  * dense words and replay there, one dense word instead of many sparse
  * ones.
  *
- * The machinery has two layers:
+ * Two mechanisms regroup, sharing one migration engine:
  *
- * - SegmentPool is the migration engine every pooled path shares: it
- *   plans the (word, lane) -> dense-slot assignment, transplants each
- *   migrated lane's identity (its per-shot rng stream by value, its
- *   noise-clock state in every relevant noise class exported/imported
- *   through ClassDrawSampler::exportLane/importLane), and moves
- *   frame rows and result bit-planes between home lane positions and
- *   dense slots.
+ * - SegmentPool is the engine: it plans the (word, lane) -> dense-slot
+ *   assignment, transplants each migrated lane's identity (its
+ *   per-shot rng stream by value, its noise-clock state in every
+ *   mapped noise class exported/imported through
+ *   ClassDrawSampler::exportLane/importLane), and moves frame rows and
+ *   result bit-planes between home lane positions and dense slots.
  *
- * - PrepRetryPool owns relocated traces (recorded by the same
- *   TileRowRecorder as the in-place traces, at fixed scratch rows) for
- *   the segments that replay against a small scratch frame: verified
- *   preparation retries, the level-1 repeat extraction, the level-2
- *   verification pair, and the level-2 encoding network. Its noise
- *   classes are pool-local and mapped to the parent's shadow classes of
- *   the same probability, so a migrated lane's clocks transplant
- *   between its home shadow clocks and the pool clocks.
+ * - PrepRetryPool runs verified-preparation retries dense: one
+ *   relocated prep-round trace per basis (recorded by the same
+ *   TileRowRecorder as the in-place traces, at fixed scratch rows)
+ *   replayed on a one-word scratch frame. Its noise classes are
+ *   pool-local and mapped to the parent's shadow classes of the same
+ *   probability, so a migrated lane's clocks transplant between its
+ *   home shadow clocks and the pool clocks.
  *
  * Whole sparse subtrees (level-2 "Start Over" rounds, repeated level-2
  * extraction) instead migrate into a dense twin experiment
  * (arq/batched_monte_carlo.cc) -- same SegmentPool engine, identity
  * class map, no relocation needed because the twin shares the tile's
- * qubit indexing.
+ * qubit indexing. Every other sparse segment replays in place.
  *
  * The determinism contract survives because a migrated lane consumes
  * draws at exactly the sites, and in exactly the order, it would have
@@ -99,11 +96,9 @@ static_assert(kMaxGroupWords <= 32, "LaneChunkPlan::words is 32 bits");
  * The sampler classes migrating with each lane of one pooled segment:
  * class home[i] in a home model pairs with class dense[i] in the dense
  * model (same probability, asserted in the transplant). The map must
- * cover every class the migrated segment can sample -- and, for the
- * transplant cost's sake, nothing more: clocks of unlisted classes
- * stay home untouched, which is exactly right both for primary-class
- * clocks (pooled segments replay shadow sites only) and for shadow
- * classes the segment's traces never reference.
+ * cover every class the migrated segment can sample: clocks of unlisted
+ * classes stay home untouched, which is exactly right for primary-class
+ * clocks (pooled segments replay shadow sites only).
  */
 struct SamplerClassMap
 {
@@ -173,26 +168,15 @@ class SegmentPool
     /**
      * Gather the frame bits of qubit @p home_q from chunk @p k's home
      * lanes (words of the group frame @p home) into the dense slots of
-     * qubit @p dense_q of @p dense.
+     * qubit @p dense_q of word @p dense_word of @p dense (twin
+     * migrations: chunk k lands in twin word k).
      */
-    void gatherRow(std::size_t k, const quantum::GroupPauliFrames &home,
-                   std::size_t home_q, quantum::BatchedPauliFrame &dense,
-                   std::size_t dense_q) const;
-
-    /** gatherRow into word @p dense_word of a dense group frame (twin
-     *  migrations: chunk k lands in twin word k). */
     void gatherRow(std::size_t k, const quantum::GroupPauliFrames &home,
                    std::size_t home_q, quantum::GroupPauliFrames &dense,
                    std::size_t dense_word, std::size_t dense_q) const;
 
     /** Inverse of gatherRow; home lanes outside the chunk keep their
      *  bits. */
-    void scatterRow(std::size_t k, quantum::GroupPauliFrames &home,
-                    std::size_t home_q,
-                    const quantum::BatchedPauliFrame &dense,
-                    std::size_t dense_q) const;
-
-    /** scatterRow from word @p dense_word of a dense group frame. */
     void scatterRow(std::size_t k, quantum::GroupPauliFrames &home,
                     std::size_t home_q,
                     const quantum::GroupPauliFrames &dense,
@@ -214,23 +198,17 @@ class SegmentPool
 };
 
 /**
- * Dense replay engine for the relocated tile-schedule segments: any
- * sparse trace segment that touches a bounded set of rows migrates
- * through here instead of replaying nearly-empty words in place.
- *
- * Scratch-row layout (rows are blockLength() qubits wide):
- *   - prep / verify-pair segments: target row [0, n), verification row
- *     [n, 2n);
- *   - extract segment: ancilla row [0, n), verification row [n, 2n),
- *     data row [2n, 3n);
- *   - level-2 network: group g's data row at [g n, (g+1) n).
+ * Dense replay engine for verified-preparation retries: the surviving
+ * lanes of a sparse retry migrate here and finish their attempts on a
+ * one-word scratch frame (target row [0, n), verification row [n, 2n))
+ * instead of replaying nearly-empty words in place.
  */
 class PrepRetryPool
 {
   public:
     /**
-     * @param recorder          Records the relocated segments (must be
-     *                          the recorder the parent traces used).
+     * @param recorder          Records the relocated prep rounds (must
+     *                          be the recorder the parent traces used).
      * @param parent_classes    The parent experiment's class table.
      * @param shadow_of_primary Parent shadow class of each primary id.
      */
@@ -270,87 +248,31 @@ class PrepRetryPool
                        std::vector<BatchedNoiseModel> &models,
                        ExperimentStats *stats);
 
-    /**
-     * Pooled repeat syndrome extraction (the level-1 re-extraction on
-     * the lanes whose first syndrome was non-trivial): verified ancilla
-     * preparation (attempts from 1) followed by the extract round
-     * against the migrated data row at parent qubit @p data_q0. The
-     * extraction's syndrome planes are scattered into @p synd (indexed
-     * by home word; the planes of every word in @p mask are
-     * overwritten) and the updated data row is scattered back.
-     */
-    void runExtract(bool detect_x, const LaneSet &mask,
-                    std::size_t data_q0,
-                    quantum::GroupPauliFrames &frames,
-                    std::vector<BatchedNoiseModel> &models,
-                    SyndromePlanes *synd, ExperimentStats *stats);
-
-    /**
-     * Pooled level-2 verification (the VerifyPair segment) of
-     * @p num_sites sites sharing one mask: per site, the verification
-     * row is encoded against the migrated data row at @p site_q0[s] and
-     * read out, and the decoded outer flip plane (inner lookup decode
-     * included) is OR-scattered into @p site_planes[word][s] at home
-     * lane positions. One transplant serves every site.
-     */
-    void runVerifySeries(bool plus, const LaneSet &mask,
-                         const std::size_t *site_q0, std::size_t num_sites,
-                         quantum::GroupPauliFrames &frames,
-                         std::vector<BatchedNoiseModel> &models,
-                         std::array<std::uint64_t, 32> *site_planes);
-
-    /**
-     * Pooled level-2 encoding network over one conglomeration's
-     * @p num_rows data rows (row g at parent qubit @p row_q0[g]): the
-     * rows migrate in, the relocated network trace replays dense, the
-     * rows migrate back.
-     */
-    void runNetwork(bool plus, const LaneSet &mask,
-                    const std::size_t *row_q0, std::size_t num_rows,
-                    quantum::GroupPauliFrames &frames,
-                    std::vector<BatchedNoiseModel> &models);
-
   private:
-    /**
-     * The sampler classes one pooled segment kind transplants: exactly
-     * the pool classes its traces reference (paired with the parent
-     * shadow classes of the same probability). Transplanting the full
-     * class table instead would tax every pooled prep retry with the
-     * clocks of classes only the network/extract segments sample.
-     */
-    struct SegmentClasses
+    SamplerClassMap classMap() const
     {
-        std::vector<std::uint8_t> home; // parent shadow class ids
-        std::vector<std::uint8_t> dense; // pool class ids
-
-        SamplerClassMap map() const
-        {
-            return {home.data(), dense.data(), home.size()};
-        }
-    };
+        return {home_classes_.data(), pool_classes_.data(),
+                home_classes_.size()};
+    }
 
     /** Dense retry loop of one site; pool frame rows hold the result. */
     void runAttempts(bool plus, std::uint64_t mask, int first_attempt,
                      ExperimentStats *stats);
 
-    const ecc::CssCode &code_;
     std::size_t n_; // block length
     int max_prep_attempts_;
     NoiseClassTable classes_;
-    // Relocated segment traces, indexed by plus / detect_x.
+    // Relocated prep-round traces, indexed by plus.
     std::array<FrameTrace, 2> prep_traces_;
-    std::array<FrameTrace, 2> verify_traces_;
-    std::array<FrameTrace, 2> network_traces_;
-    std::array<FrameTrace, 2> extract_traces_;
-    SegmentClasses prep_classes_;
-    SegmentClasses verify_classes_;
-    SegmentClasses network_classes_;
-    SegmentClasses extract_classes_; // prep + extract (runExtract preps)
+    /** Every pool class paired with the parent shadow class of the
+     *  same probability (the prep traces sample them all). */
+    std::vector<std::uint8_t> home_classes_;
+    std::vector<std::uint8_t> pool_classes_;
     std::vector<BitList> x_check_bits_;
     std::vector<BitList> z_check_bits_;
     BitList logical_x_bits_;
     BitList logical_z_bits_;
-    quantum::BatchedPauliFrame frame_;
+    quantum::GroupPauliFrames frame_; // one word
     BatchedNoiseModel model_;
     std::vector<std::uint64_t> flips_;
     SegmentPool mig_;

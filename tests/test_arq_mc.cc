@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "arq/batched_monte_carlo.h"
 #include "arq/monte_carlo.h"
@@ -274,16 +275,15 @@ TEST(BatchedMonteCarlo, GroupingAndCompactionBitIdentical)
     // sequence is preserved exactly, so failure counts must be
     // bit-identical across all settings. Swept far above threshold so
     // the compacted retry paths actually run.
-    constexpr double kFill = BatchOptions{}.migrationFillThreshold;
     for (const double p : {8e-3, 2e-2}) {
         for (const int level : {1, 2}) {
             const std::size_t shots = level == 1 ? 3000 : 800;
             std::uint64_t reference = 0;
             bool have_reference = false;
             for (const BatchOptions options :
-                 {BatchOptions{1, false, kFill}, BatchOptions{16, false, kFill},
-                  BatchOptions{4, true, kFill}, BatchOptions{7, true, kFill},
-                  BatchOptions{32, true, kFill}}) {
+                 {BatchOptions{1, false}, BatchOptions{16, false},
+                  BatchOptions{4, true}, BatchOptions{7, true},
+                  BatchOptions{32, true}}) {
                 BatchedLogicalQubitExperiment experiment(
                     ecc::steaneCode(), NoiseParameters::swept(p), {}, 16,
                     options);
@@ -324,6 +324,59 @@ TEST(BatchedMonteCarlo, CompactedStatsMatchUncompacted)
               cs.nontrivialSyndrome.trials());
     EXPECT_EQ(ps.prepAttempts.count(), cs.prepAttempts.count());
     EXPECT_NEAR(ps.prepAttempts.mean(), cs.prepAttempts.mean(), 1e-12);
+}
+
+TEST(BatchedMonteCarlo, SpotCountsArePinned)
+{
+    // Tripwire for result identity across commits: the determinism
+    // gate's spot configuration (tools/determinism_gate.cc --mode spot
+    // --engine batched: p = 6e-3, seed 424242, 4000 shots, levels 1
+    // and 2) plus one deep-tail level-2 point where the dense twin and
+    // pooled prep retries dominate must keep these exact counts under
+    // every execution shape. An engine simplification that moves a
+    // byte fails here, not only in the CI byte-diff; a deliberate
+    // change of results re-pins the counts and says so in CHANGES.md.
+    struct Pin
+    {
+        double p;
+        int level;
+        std::size_t shots;
+        std::uint64_t failures;
+        std::uint64_t syndromes;
+        std::uint64_t syndromeTrials;
+        std::uint64_t prepExits;
+        double prepAttemptSum;
+    };
+    const Pin pins[] = {
+        {6e-3, 1, 4000, 28, 1837, 9299, 9299, 11025},
+        {6e-3, 2, 4000, 378, 264969, 723336, 829439, 978174},
+        {1.4e-2, 2, 260, 123, 73177, 115907, 138666, 202902},
+    };
+    for (const Pin &pin : pins) {
+        for (const BatchOptions batch :
+             {BatchOptions{1, false}, BatchOptions{7, true},
+              BatchOptions{16, true}, BatchOptions{32, true}}) {
+            McRunOptions options;
+            options.threads = 1;
+            options.batch = batch;
+            ExperimentStats stats;
+            const auto rate = runLogicalExperiment(
+                ecc::steaneCode(), NoiseParameters::swept(pin.p), pin.level,
+                pin.shots, 424242, options, &stats);
+            const std::string what = "p=" + std::to_string(pin.p) + " L"
+                + std::to_string(pin.level) + " group="
+                + std::to_string(batch.groupWords) + " compaction="
+                + std::to_string(batch.laneCompaction);
+            EXPECT_EQ(rate.successes(), pin.failures) << what;
+            EXPECT_EQ(rate.trials(), pin.shots) << what;
+            EXPECT_EQ(stats.nontrivialSyndrome.successes(), pin.syndromes)
+                << what;
+            EXPECT_EQ(stats.nontrivialSyndrome.trials(), pin.syndromeTrials)
+                << what;
+            EXPECT_EQ(stats.prepAttempts.count(), pin.prepExits) << what;
+            EXPECT_EQ(stats.prepAttempts.sum(), pin.prepAttemptSum) << what;
+        }
+    }
 }
 
 TEST(BatchedMonteCarlo, FailureRateRangeConcatenates)

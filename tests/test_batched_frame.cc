@@ -613,8 +613,9 @@ TEST(GroupReplay, TileCarvingBitIdenticalLaneByLane)
     // 2- and 1-word tiles greedily from the group, and every carving
     // must leave every lane of every word -- frame bits and flip words
     // -- exactly as the one-word replay does. Group widths 1..9 cover
-    // every tile width, every remainder after the 4-word tiles, and the
-    // one-word fast path.
+    // every tile width and every remainder after the 4-word tiles; the
+    // reference replays each word as a packed one-word group, the
+    // stride-1 fast path.
     using namespace qla::arq;
     const std::size_t n = 6;
     NoiseClassTable classes;
@@ -641,14 +642,16 @@ TEST(GroupReplay, TileCarvingBitIdenticalLaneByLane)
         m = mask_rng.next64() | mask_rng.next64();
     masks[3] = 0; // a fully inactive word inside the group
 
-    // Reference: each word alone through the single-word replay.
-    std::vector<BatchedPauliFrame> ref_frames(max_words,
-                                              BatchedPauliFrame(n));
+    // Reference: each word alone as a one-word group (the packed
+    // stride-1 fast path).
+    std::vector<GroupPauliFrames> ref_frames(max_words,
+                                             GroupPauliFrames(n, 1));
     std::vector<std::vector<std::uint64_t>> ref_flips(max_words);
     for (std::size_t w = 0; w < max_words; ++w) {
         BatchedNoiseModel model(classes);
         model.rearm(family, w * kBatchLanes);
-        replayTrace(trace, ref_frames[w], model, masks[w], ref_flips[w]);
+        replayTraceGroup(trace, ref_frames[w], &model, &masks[w], 1,
+                         &ref_flips[w]);
     }
 
     for (std::size_t words = 1; words <= max_words; ++words) {
@@ -667,9 +670,9 @@ TEST(GroupReplay, TileCarvingBitIdenticalLaneByLane)
             ASSERT_EQ(flips[w], ref_flips[w])
                 << "group " << words << " word " << w;
             for (std::size_t q = 0; q < n; ++q) {
-                ASSERT_EQ(frames.xWord(w, q), ref_frames[w].xWord(q))
+                ASSERT_EQ(frames.xWord(w, q), ref_frames[w].xWord(0, q))
                     << "group " << words << " word " << w << " q " << q;
-                ASSERT_EQ(frames.zWord(w, q), ref_frames[w].zWord(q))
+                ASSERT_EQ(frames.zWord(w, q), ref_frames[w].zWord(0, q))
                     << "group " << words << " word " << w << " q " << q;
             }
         }

@@ -32,8 +32,8 @@ encodedBlock(const CssCode &code)
 }
 
 ExtractionReadout
-runExtraction(const CssCode &code, quantum::StabilizerTableau &state,
-              bool detect_x, Rng &rng)
+extractOnTableau(const CssCode &code, quantum::StabilizerTableau &state,
+                 bool detect_x, Rng &rng)
 {
     const auto circuit = syndromeExtractionCircuit(code, detect_x);
     const auto result = arq::executeOnTableau(circuit, state, rng);
@@ -48,7 +48,7 @@ TEST(FtCircuits, CleanCodewordGivesTrivialSyndromes)
     Rng rng(2);
     for (const bool detect_x : {true, false}) {
         auto state = encodedBlock(code);
-        const auto readout = runExtraction(code, state, detect_x, rng);
+        const auto readout = extractOnTableau(code, state, detect_x, rng);
         EXPECT_FALSE(readout.verificationFailed) << detect_x;
         EXPECT_EQ(readout.syndrome, 0u) << detect_x;
     }
@@ -65,7 +65,7 @@ TEST_P(InjectedErrorTest, XErrorLocatedByXSyndrome)
     Rng rng(3);
     auto state = encodedBlock(code);
     state.x(BlockRegisters(code).data(bad));
-    const auto readout = runExtraction(code, state, true, rng);
+    const auto readout = extractOnTableau(code, state, true, rng);
     EXPECT_FALSE(readout.verificationFailed);
     EXPECT_EQ(code.xCorrection(readout.syndrome),
               ecc::QubitMask{1} << bad);
@@ -78,7 +78,7 @@ TEST_P(InjectedErrorTest, ZErrorLocatedByZSyndrome)
     Rng rng(4);
     auto state = encodedBlock(code);
     state.z(BlockRegisters(code).data(bad));
-    const auto readout = runExtraction(code, state, false, rng);
+    const auto readout = extractOnTableau(code, state, false, rng);
     EXPECT_FALSE(readout.verificationFailed);
     EXPECT_EQ(code.zCorrection(readout.syndrome),
               ecc::QubitMask{1} << bad);
@@ -92,7 +92,7 @@ TEST_P(InjectedErrorTest, WrongTypeIsInvisible)
     Rng rng(5);
     auto state = encodedBlock(code);
     state.z(BlockRegisters(code).data(bad));
-    EXPECT_EQ(runExtraction(code, state, true, rng).syndrome, 0u);
+    EXPECT_EQ(extractOnTableau(code, state, true, rng).syndrome, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Qubits, InjectedErrorTest,
@@ -121,8 +121,8 @@ TEST(FtCircuits, RepeatedCyclesStayClean)
     auto state = encodedBlock(code);
     for (int round = 0; round < 3; ++round) {
         for (const bool detect_x : {true, false}) {
-            const auto readout = runExtraction(code, state, detect_x,
-                                               rng);
+            const auto readout = extractOnTableau(code, state, detect_x,
+                                                  rng);
             EXPECT_EQ(readout.syndrome, 0u)
                 << "round " << round << " type " << detect_x;
         }
@@ -147,7 +147,7 @@ TEST(FtCircuits, WorksForShorCodeToo)
     Rng rng(8);
     auto state = encodedBlock(code);
     state.x(BlockRegisters(code).data(4));
-    const auto readout = runExtraction(code, state, true, rng);
+    const auto readout = extractOnTableau(code, state, true, rng);
     // Weight-1 correction restores the codeword (any equivalent qubit
     // within the affected triple is acceptable for Shor's degenerate
     // code: the residual must be non-logical).

@@ -10,13 +10,11 @@
  *       for every thread count (the determinism contract).
  *
  *   determinism_gate --mode spot --engine batched
- *       [--group G] [--compaction on|off] [--fill F]
- *       [--threads N] [--shots S]
+ *       [--group G] [--compaction on|off] [--threads N] [--shots S]
  *       Single-point L1+L2 failure counts on the batched engine;
  *       identical output is required for every group width G (which
  *       also fixes how the replay carves 4-, 2- and 1-word SIMD
- *       tiles), for compaction on vs off, and for every
- *       segment-migration fill threshold F.
+ *       tiles) and for compaction on vs off.
  *
  *   determinism_gate --mode spot --engine scalar [--shots S]
  *       The scalar reference engine's counts (self-reproducibility).
@@ -84,14 +82,13 @@ runSweep(int threads, std::size_t shots)
 }
 
 int
-runSpotBatched(std::size_t group, bool compaction, double fill,
-               int threads, std::size_t shots)
+runSpotBatched(std::size_t group, bool compaction, int threads,
+               std::size_t shots)
 {
     McRunOptions options;
     options.threads = threads;
     options.batch.groupWords = group;
     options.batch.laneCompaction = compaction;
-    options.batch.migrationFillThreshold = fill;
     for (const int level : {1, 2}) {
         ExperimentStats stats;
         const auto rate = runLogicalExperiment(
@@ -219,8 +216,6 @@ printHelp()
         "  --engine E         spot mode: batched | scalar\n"
         "  --group G          spot/batched: lane-group width in words\n"
         "  --compaction C     spot/batched: lane compaction on | off\n"
-        "  --fill F           spot/batched: segment-migration fill "
-        "threshold\n"
         "  --fault-rate F     interconnect: uniform link-fault rate "
         "axis\n"
         "  --purification L   interconnect: purification-level axis\n"
@@ -247,7 +242,6 @@ main(int argc, char **argv)
     std::size_t shots = 4000;
     std::size_t group = BatchOptions{}.groupWords;
     bool compaction = true;
-    double fill = BatchOptions{}.migrationFillThreshold;
     double fault_rate = 0.0;
     int purification = 0;
     double link_fidelity = 1.0;
@@ -276,8 +270,6 @@ main(int argc, char **argv)
             group = std::strtoull(next(), nullptr, 10);
         else if (arg == "--compaction")
             compaction = std::strcmp(next(), "off") != 0;
-        else if (arg == "--fill")
-            fill = std::atof(next());
         else if (arg == "--fault-rate")
             fault_rate = std::atof(next());
         else if (arg == "--purification")
@@ -303,7 +295,7 @@ main(int argc, char **argv)
     if (mode == "spot")
         return engine == "scalar"
             ? runSpotScalar(shots)
-            : runSpotBatched(group, compaction, fill, threads, shots);
+            : runSpotBatched(group, compaction, threads, shots);
     if (mode == "crosscheck")
         return runCrosscheck(shots);
     if (mode == "interconnect")
