@@ -145,17 +145,6 @@ BM_ThresholdSweepScalarWindow(benchmark::State &state)
 BENCHMARK(BM_ThresholdSweepScalarWindow);
 
 void
-BM_ThresholdSweepBatchedWindow(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(thresholdSweep(
-            kWindowSweep, kSweepShots, 20050938, singleThreadOptions()));
-    state.SetItemsProcessed(state.iterations() * kWindowSweep.size() * 2
-                            * kSweepShots);
-}
-BENCHMARK(BM_ThresholdSweepBatchedWindow);
-
-void
 BM_ThresholdSweepScalarFull(benchmark::State &state)
 {
     for (auto _ : state)
@@ -165,17 +154,6 @@ BM_ThresholdSweepScalarFull(benchmark::State &state)
                             * kSweepShots);
 }
 BENCHMARK(BM_ThresholdSweepScalarFull);
-
-void
-BM_ThresholdSweepBatchedFull(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(thresholdSweep(
-            kFullSweep, kSweepShots, 20050938, singleThreadOptions()));
-    state.SetItemsProcessed(state.iterations() * kFullSweep.size() * 2
-                            * kSweepShots);
-}
-BENCHMARK(BM_ThresholdSweepBatchedFull);
 
 /** Tail-only fixture on the current defaults. */
 void
@@ -190,8 +168,8 @@ BM_ThresholdSweepBatchedTail(benchmark::State &state)
 BENCHMARK(BM_ThresholdSweepBatchedTail);
 
 /** The PR-2 execution shape (single word, no compaction): the delta to
- *  BM_ThresholdSweepBatchedFull is the lane-compaction recovery on the
- *  far-above-threshold tail. */
+ *  BM_ThresholdSweepBatchedFullThreads/1 is the lane-compaction
+ *  recovery on the far-above-threshold tail. */
 void
 BM_ThresholdSweepBatchedFullNoCompaction(benchmark::State &state)
 {

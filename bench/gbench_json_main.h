@@ -26,11 +26,13 @@ runGoogleBenchmarkMain(int argc, char **argv)
     // Stamp the report with this TU's build type so compare_bench.py
     // can refuse baselines recorded from a debug build. Keyed off
     // NDEBUG as seen by the benchmark translation unit, which is what
-    // actually determines how fast the measured library code runs.
+    // actually determines how fast the measured library code runs. The
+    // key is our own: google-benchmark's context already carries
+    // library_build_type, the build of the benchmark library itself.
 #ifdef NDEBUG
-    benchmark::AddCustomContext("library_build_type", "release");
+    benchmark::AddCustomContext("qla_build_type", "release");
 #else
-    benchmark::AddCustomContext("library_build_type", "debug");
+    benchmark::AddCustomContext("qla_build_type", "debug");
 #endif
     std::string json_path;
     std::vector<char *> args;

@@ -36,16 +36,25 @@ def check_build_type(path, report):
 
     A debug-build baseline makes every later release run look faster
     than it is (and vice versa), silently absorbing real regressions
-    into the build-type delta. The bench binaries stamp
-    `library_build_type` into the report context; anything other than
-    "release" is a data error. Reports predating the stamp only get a
-    warning so historical baselines stay loadable until re-recorded.
+    into the build-type delta. The bench binaries stamp `qla_build_type`
+    into the report context; anything other than "release" is a data
+    error. Older reports carry the stamp as a second `library_build_type`
+    key next to google-benchmark's own (the benchmark library's build),
+    so only its last value is ours; they are read with a warning until
+    re-recorded. Reports predating any stamp only get a warning.
     """
-    build_type = report.get("context", {}).get("library_build_type")
+    context = report.get("context", {})
+    build_type = context.get("qla_build_type")
     if build_type is None:
-        print(f"warning: {path}: context lacks library_build_type "
-              "(recorded before the build-type stamp?)", file=sys.stderr)
-        return
+        build_type = context.get("library_build_type")
+        if build_type is None:
+            print(f"warning: {path}: context lacks qla_build_type "
+                  "(recorded before the build-type stamp?)",
+                  file=sys.stderr)
+            return
+        print(f"warning: {path}: context lacks qla_build_type; reading "
+              "the legacy library_build_type stamp (re-record the file)",
+              file=sys.stderr)
     if build_type != "release":
         print(f"error: {path}: recorded from a {build_type!r} build; "
               "benchmark comparisons require release builds",

@@ -1,8 +1,10 @@
 #include "network/cosim.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <functional>
+#include <numeric>
 
 #include "common/logging.h"
 #include "sim/shot_scheduler.h"
@@ -19,6 +21,33 @@ mixSeed(std::uint64_t x)
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     return x ^ (x >> 31);
+}
+
+/** Pair slots one channel carries per window at the configured
+ *  per-pair service time, before any fidelity-model pumping. */
+std::uint64_t
+elementarySlots(const CoSimConfig &config)
+{
+    SchedulerConfig sc;
+    sc.window = config.window;
+    sc.purifiedPairServiceTime = config.purifiedPairServiceTime;
+    return slotsPerChannel(sc);
+}
+
+/** Pair slots one channel carries per window under @p config: the
+ *  elementary slots, shrunk by pumping traffic when the fidelity model
+ *  is on. */
+std::uint64_t
+slotsForWindow(const CoSimConfig &config)
+{
+    const std::uint64_t slots = elementarySlots(config);
+    if (!config.fidelity.enabled())
+        return slots;
+    // Purification traffic competes with program traffic: pumping a
+    // pair to the level target consumes expectedElementaryPairs
+    // channel transports, shrinking the purified-pair capacity.
+    return purifiedSlotsPerChannel(slots,
+                                   purifiedLinkPlan(config.fidelity));
 }
 
 /** One unsatisfied EPR demand of an active gate. */
@@ -73,8 +102,8 @@ struct ActiveGate
 };
 
 /**
- * The per-run engine: owns all mutable co-simulation state and the
- * window event chain.
+ * The per-run engine: owns all mutable co-simulation state and runs
+ * the window loop.
  */
 class CoSimEngine
 {
@@ -83,7 +112,7 @@ class CoSimEngine
                 const MeshExtent &extent, const WindowProbeFn &probe)
         : program_(program), config_(config), probe_(probe),
           mesh_(extent.width, extent.height, config.bandwidth,
-                slotsForWindow()),
+                slotsForWindow(config)),
           router_(config.detourRadius),
           placement_(extent.width, extent.height,
                      program.config().tilesPerIslandX),
@@ -173,8 +202,9 @@ class CoSimEngine
             report_.completed = true;
             return report_;
         }
-        events_.schedule(0.0, [this] { onWindowBoundary(); });
-        events_.run();
+        do
+            onWindowBoundary();
+        while (closeWindow());
         report_.windows = mesh_.windowsElapsed()
             - report_.warmupWindows;
         report_.makespan = static_cast<double>(report_.windows)
@@ -188,21 +218,6 @@ class CoSimEngine
     }
 
   private:
-    std::uint64_t slotsForWindow() const
-    {
-        SchedulerConfig sc;
-        sc.window = config_.window;
-        sc.purifiedPairServiceTime = config_.purifiedPairServiceTime;
-        const std::uint64_t slots = slotsPerChannel(sc);
-        if (!config_.fidelity.enabled())
-            return slots;
-        // Purification traffic competes with program traffic: pumping a
-        // pair to the level target consumes expectedElementaryPairs
-        // channel transports, shrinking the purified-pair capacity.
-        return purifiedSlotsPerChannel(slots,
-                                       purifiedLinkPlan(config_.fidelity));
-    }
-
     EntityId entityOf(const ActiveGate &g, const GateMember &m) const
     {
         if (m.isAncilla)
@@ -210,10 +225,8 @@ class CoSimEngine
         return program_.gates()[g.id].qubits[m.index];
     }
 
-    /** Every window boundary: start, emit, route, then same-instant
-     *  gate-advance events (FIFO keeps gate order) and a window-close
-     *  event that advances the mesh clock and schedules the successor
-     *  boundary. */
+    /** Every window boundary: start, emit, route, then advance every
+     *  started gate in active-gate id order. closeWindow follows. */
     void onWindowBoundary()
     {
         if (warmup_remaining_ > 0) {
@@ -227,16 +240,15 @@ class CoSimEngine
         }
         emitDemands();
         routeWindow();
-        if (warmup_remaining_ == 0) {
-            for (const ActiveGate &g : active_) {
-                if (!g.started)
-                    continue;
-                const std::size_t id = g.id;
-                events_.schedule(events_.now(),
-                                 [this, id] { advanceGate(id); });
-            }
-        }
-        events_.schedule(events_.now(), [this] { closeWindow(); });
+        if (warmup_remaining_ > 0)
+            return;
+        // Snapshot first: a gate that completes leaves active_.
+        advancing_.clear();
+        for (const ActiveGate &g : active_)
+            if (g.started)
+                advancing_.push_back(g.id);
+        for (const std::size_t id : advancing_)
+            advanceGate(id);
     }
 
     /** Warmup variant of startReadyGates: pre-activate the ready gates
@@ -274,7 +286,7 @@ class CoSimEngine
 
     void startReadyGates()
     {
-        std::vector<std::size_t> still_ready;
+        still_ready_.clear();
         for (const std::size_t id : ready_) {
             if (isActive(id)) {
                 // Pre-activated while its dependencies finished: the
@@ -294,13 +306,13 @@ class CoSimEngine
                 // its gadget ancillas: a stall, charged to its own
                 // ledger so undersized meshes are diagnosable.
                 ++report_.allocationStallWindows;
-                still_ready.push_back(id); // retry next window
+                still_ready_.push_back(id); // retry next window
                 continue;
             }
             insertActive(std::move(active));
             notifyIfNearDone(gateById(id));
         }
-        ready_ = std::move(still_ready);
+        ready_.swap(still_ready_);
     }
 
     void insertActive(ActiveGate gate)
@@ -315,7 +327,7 @@ class CoSimEngine
     {
         if (config_.prefetchWindows <= 0)
             return;
-        std::vector<std::size_t> retry;
+        retry_.clear();
         std::sort(imminent_.begin(), imminent_.end());
         for (const std::size_t id : imminent_) {
             if (isActive(id) || deps_remaining_[id] == 0)
@@ -325,12 +337,12 @@ class CoSimEngine
             active.id = id;
             if (gate.ancillaCount > 0
                 && !allocateAncillas(gate, active.ancillas)) {
-                retry.push_back(id);
+                retry_.push_back(id);
                 continue;
             }
             insertActive(std::move(active));
         }
-        imminent_ = std::move(retry);
+        imminent_.swap(retry_);
     }
 
     /** Called when @p g starts or commits a window: once its remaining
@@ -643,13 +655,13 @@ class CoSimEngine
                       return a.slot < b.slot;
                   });
         const std::uint64_t now = mesh_.windowsElapsed();
-        std::vector<PendingDemand> still_pending;
+        still_pending_.clear();
         for (PendingDemand &pd : pending_) {
             if (pd.backoffUntil > now) {
                 // Sitting out a retry backoff: no routing attempt, the
                 // channel breathes while the link (hopefully) recovers.
                 ++report_.retryBackoffWindows;
-                still_pending.push_back(pd);
+                still_pending_.push_back(pd);
                 continue;
             }
             RouteDelivery delivery;
@@ -671,10 +683,10 @@ class CoSimEngine
             } else if (abandon) {
                 abandonDemand(pd);
             } else {
-                still_pending.push_back(pd);
+                still_pending_.push_back(pd);
             }
         }
-        pending_ = std::move(still_pending);
+        pending_.swap(still_pending_);
     }
 
     /**
@@ -847,7 +859,10 @@ class CoSimEngine
         ++report_.gates;
     }
 
-    void closeWindow()
+    /** End the window: probe, advance the mesh clock, age the
+     *  pending demands.
+     *  @return true when another window follows. */
+    bool closeWindow()
     {
         if (probe_) {
             WindowProbe probe;
@@ -874,16 +889,15 @@ class CoSimEngine
             ++report_.warmupWindows;
         } else if (report_.gates == program_.gates().size()) {
             report_.completed = true;
-            return; // chain ends; queue drains
+            return false;
         }
         if (mesh_.windowsElapsed() >= config_.maxWindows)
-            return; // runaway guard: completed stays false
+            return false; // runaway guard: completed stays false
         for (PendingDemand &pd : pending_) {
             ++pd.age;
             report_.deferredPairWindows += pd.demand.pairs;
         }
-        events_.scheduleAfter(config_.window,
-                              [this] { onWindowBoundary(); });
+        return true;
     }
 
     const ProgramWorkload &program_;
@@ -892,7 +906,6 @@ class CoSimEngine
     IslandMesh mesh_;
     EprRouter router_;
     TilePlacement placement_;
-    sim::EventQueue events_;
     CoSimReport report_;
     RouteStats route_stats_;
 
@@ -904,6 +917,11 @@ class CoSimEngine
     std::vector<std::size_t> ready_;   // sorted gate ids
     std::vector<ActiveGate> active_;   // sorted by id
     std::vector<PendingDemand> pending_;
+    // Per-window scratch, reused so a window allocates nothing.
+    std::vector<std::size_t> advancing_; ///< Started gates, id order.
+    std::vector<std::size_t> still_ready_;
+    std::vector<std::size_t> retry_;
+    std::vector<PendingDemand> still_pending_;
     std::vector<std::size_t> free_ancilla_slots_; // min-heap
     std::size_t next_ancilla_slot_ = 0;
     int warmup_remaining_ = 0;
@@ -1002,12 +1020,48 @@ runCoSimSweep(const std::vector<ProgramWorkload> &workloads,
         = enumerateCoSimSweep(workloads.size(), config);
     if (points.empty())
         return points;
+    // Longest-first list scheduling: point costs differ by ~100x, so
+    // dealing points out in index blocks lets the slowest one set the
+    // makespan. Points are taken in decreasing estimated cost (ties by
+    // index) from one shared cursor; every result lands in its own
+    // points[] slot, so neither the order nor the thread count can
+    // reach the bytes.
+    std::vector<double> interactions(workloads.size());
+    for (std::size_t w = 0; w < workloads.size(); ++w)
+        interactions[w] =
+            static_cast<double>(workloads[w].totalInteractions());
+    const auto elementary_slots =
+        static_cast<double>(elementarySlots(config.base));
+    std::vector<double> cost(points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        // The program's interactions, inflated by how scarce the
+        // point's per-link capacity (bandwidth x purified slots) is
+        // against one channel's elementary slots.
+        const double capacity = points[i].bandwidth
+            * static_cast<double>(
+                slotsForWindow(config.pointConfig(points[i])));
+        cost[i] = interactions[points[i].workload]
+            * (1.0 + elementary_slots / capacity);
+    }
+    std::vector<std::size_t> order(points.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return cost[a] > cost[b];
+                     });
+
     sim::ShotScheduler scheduler(config.threads);
-    scheduler.run(points.size(), [&](std::size_t job, int) {
-        CoSimSweepPoint &point = points[job];
-        ProgramCoSimulator simulator(workloads[point.workload],
-                                     config.pointConfig(point));
-        point.report = simulator.run();
+    std::atomic<std::size_t> cursor{0};
+    const std::size_t lanes = std::min<std::size_t>(
+        points.size(), static_cast<std::size_t>(scheduler.threadCount()));
+    scheduler.run(lanes, [&](std::size_t, int) {
+        for (std::size_t next = cursor++; next < order.size();
+             next = cursor++) {
+            CoSimSweepPoint &point = points[order[next]];
+            ProgramCoSimulator simulator(workloads[point.workload],
+                                         config.pointConfig(point));
+            point.report = simulator.run();
+        }
     });
     return points;
 }

@@ -1,22 +1,20 @@
 /**
  * @file
  * Logical-program co-simulation: computation and communication executed
- * together on the discrete-event kernel.
+ * together, window by window.
  *
  * This is the executable counterpart of the paper's Section-5 study:
  * a real circuit (QCLA adder, Toffoli network, banded QFT) is lowered
  * onto the island mesh (network/program_workload.h, network/placement.h)
- * and driven window by window on sim::EventQueue. Every scheduling
- * window is an event chain at one instant of simulated time --
- * demand emission + greedy routing, then one gate-advance event per
- * active gate (FIFO tie-break keeps them in gate order), then a
- * window-close event -- and a gate's window of progress commits only
- * when all its EPR demands were delivered: computation is *gated on
- * delivery*, and every window a gate waits is a stall charged to that
- * gate. With enough bandwidth the measured makespan equals the
- * dependency-DAG critical path (communication fully overlapped with
- * error correction, the paper's bandwidth-2 conclusion); with too
- * little, stalls stretch it.
+ * and driven by a plain window loop. Every scheduling window is one
+ * pass -- demand emission + greedy routing, then every started gate
+ * advances in active-gate id order, then the window closes -- and a
+ * gate's window of progress commits only when all its EPR demands were
+ * delivered: computation is *gated on delivery*, and every window a
+ * gate waits is a stall charged to that gate. With enough bandwidth
+ * the measured makespan equals the dependency-DAG critical path
+ * (communication fully overlapped with error correction, the paper's
+ * bandwidth-2 conclusion); with too little, stalls stretch it.
  */
 
 #ifndef QLA_NETWORK_COSIM_H
@@ -32,7 +30,6 @@
 #include "network/placement.h"
 #include "network/program_workload.h"
 #include "network/scheduler.h"
-#include "sim/event_queue.h"
 #include "sim/stats.h"
 
 namespace qla::network {
@@ -295,7 +292,7 @@ struct WindowProbe
 using WindowProbeFn = std::function<void(const WindowProbe &)>;
 
 /**
- * Event-driven executor for one lowered program.
+ * Window-loop executor for one lowered program.
  */
 class ProgramCoSimulator
 {
@@ -407,6 +404,13 @@ std::vector<CoSimSweepPoint> enumerateCoSimSweep(
  * job's result depends only on its own parameters, so the sweep is
  * bit-identical for every thread count (the repo determinism contract;
  * enforced by tools/determinism_gate --mode interconnect).
+ *
+ * Dispatch is longest-first: points are sorted by a deterministic cost
+ * estimate -- the workload's totalInteractions() times
+ * (1 + elementary slots / (bandwidth x the point's purified slots per
+ * channel)), ties by point index -- and min(points, threads) workers
+ * pull them from one shared cursor. Each result lands in its own
+ * points[] slot, so the returned order and bytes do not move.
  */
 std::vector<CoSimSweepPoint> runCoSimSweep(
     const std::vector<ProgramWorkload> &workloads,

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/rng.h"
-
 namespace qla::network {
 
 IslandMesh::IslandMesh(int width, int height, int bandwidth,
@@ -167,18 +165,70 @@ IslandMesh::advanceWindow()
 
 namespace {
 
-/** SplitMix64 finalizer; decorrelates (seed, link, window) tuples before
- *  they seed the per-draw Rng (which runs SplitMix64 again). */
+constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+
+/** SplitMix64 finalizer: decorrelates (seed, link, window) tuples, and
+ *  one SplitMix64 seeding step of Rng is mix64(s + i * kGolden). */
 std::uint64_t
 mix64(std::uint64_t x)
 {
-    x += 0x9e3779b97f4a7c15ULL;
+    x += kGolden;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     return x ^ (x >> 31);
 }
 
+/** xoshiro256** output function of state word 1. */
+std::uint64_t
+starStar(std::uint64_t word1)
+{
+    const std::uint64_t x = word1 * 5;
+    return ((x << 7) | (x >> 57)) * 9;
+}
+
+/** drawLinkFaults for a link whose key mix64(seed + link) is known.
+ *  Branch-free, so a loop over links vectorizes. */
+LinkFaultDraw
+drawFromKey(std::uint64_t key, std::uint64_t window,
+            const BernoulliThreshold &down, const BernoulliThreshold &burst)
+{
+    // Rng(s) seeds its state words i = 0..3 with mix64(s + i * kGolden).
+    // An output reads word 1 alone; one step turns word 1 into
+    // words 0 ^ 1 ^ 2. Word 3 is never needed. A trial that does not
+    // draw leaves word 1 as it is, and its outcome does not depend on
+    // the word it is compared against.
+    const std::uint64_t s = mix64(key + window);
+    const std::uint64_t word1 = mix64(s + kGolden);
+    const std::uint64_t step_mask = std::uint64_t{0} - down.draws;
+    const std::uint64_t second =
+        word1 ^ ((mix64(s) ^ mix64(s + 2 * kGolden)) & step_mask);
+    return {(starStar(word1) >> 11) < down.below,
+            (starStar(second) >> 11) < burst.below};
+}
+
 } // namespace
+
+BernoulliThreshold
+bernoulliThreshold(double p)
+{
+    if (p <= 0.0)
+        return {0, false};
+    if (p >= 1.0)
+        return {std::uint64_t{1} << 53, false};
+    if (std::isnan(p))
+        return {0, true};
+    // uniform() < p with uniform() = (x >> 11) * 2^-53; scaling p by
+    // 2^53 is exact, so the integer test is (x >> 11) < ceil(p * 2^53).
+    return {static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53))), true};
+}
+
+LinkFaultDraw
+drawLinkFaults(std::uint64_t seed, std::uint64_t link, std::uint64_t window,
+               const BernoulliThreshold &down,
+               const BernoulliThreshold &burst)
+{
+    return drawFromKey(mix64(seed + link), window, down, burst);
+}
 
 void
 IslandMesh::setLinkFaults(const LinkFaultConfig &config)
@@ -187,9 +237,15 @@ IslandMesh::setLinkFaults(const LinkFaultConfig &config)
     faults_on_ = config.any();
     if (!faults_on_)
         return;
+    down_threshold_ = bernoulliThreshold(config.linkDownRate);
+    burst_threshold_ = bernoulliThreshold(config.burstRate);
     const std::size_t slots = used_.size();
     down_until_.assign(slots, 0);
     burst_.assign(slots, 0);
+    down_draw_.assign(slots, 0);
+    link_key_.resize(slots);
+    for (std::size_t link = 0; link < slots; ++link)
+        link_key_[link] = mix64(faults_.seed + link);
     // Mark the geometrically valid directed-link slots once; fault draws
     // and counters only touch real links.
     link_valid_.assign(slots, 0);
@@ -209,31 +265,41 @@ IslandMesh::setLinkFaults(const LinkFaultConfig &config)
 void
 IslandMesh::refreshFaults()
 {
-    // One fresh Rng per (link, window): the fault realization is a pure
-    // function of (seed, link index, window index) -- independent of
-    // routing order and thread count. Draw order within a link's stream
-    // is fixed (down first, then burst) so the processes stay decoupled.
-    for (std::size_t link = 0; link < used_.size(); ++link) {
+    // The fault realization is a pure function of (seed, link index,
+    // window index) -- independent of routing order and thread count.
+    // Draw order within a link's stream is fixed (down first, then
+    // burst) so the processes stay decoupled. Every slot is drawn in
+    // one branch-free pass, which vectorizes (the locals keep the byte
+    // stores from forcing member reloads); only the valid links' draws
+    // are applied.
+    const std::size_t slots = used_.size();
+    const std::uint64_t window = windows_;
+    const BernoulliThreshold down = down_threshold_;
+    const BernoulliThreshold burst = burst_threshold_;
+    const std::uint64_t *keys = link_key_.data();
+    std::uint8_t *down_draws = down_draw_.data();
+    std::uint8_t *bursts = burst_.data();
+    for (std::size_t link = 0; link < slots; ++link) {
+        const LinkFaultDraw draw =
+            drawFromKey(keys[link], window, down, burst);
+        down_draws[link] = draw.down;
+        bursts[link] = draw.burst;
+    }
+    for (std::size_t link = 0; link < slots; ++link) {
         if (!link_valid_[link])
             continue;
-        Rng rng(mix64(mix64(faults_.seed + link) + windows_));
-        const bool was_down = down_until_[link] > windows_;
-        const bool down_draw = rng.bernoulli(faults_.linkDownRate);
-        const bool burst_draw = rng.bernoulli(faults_.burstRate);
-        if (!was_down) {
+        if (down_until_[link] <= windows_) {
             ++down_trials_;
-            if (down_draw) {
+            if (down_draw_[link]) {
                 ++down_events_;
-                down_until_ [link] = windows_
+                down_until_[link] = windows_
                     + static_cast<std::uint64_t>(faults_.linkDownWindows);
             }
         }
         if (down_until_[link] > windows_)
             ++link_windows_down_;
         ++burst_trials_;
-        burst_[link] = burst_draw ? 1 : 0;
-        if (burst_draw)
-            ++burst_events_;
+        burst_events_ += burst_[link];
     }
 }
 

@@ -79,8 +79,8 @@ enum class Direction : std::uint8_t { East, West, North, South };
  *                   per-window probability burstRate.
  *
  * Determinism contract: the down/burst state of (link, window) is a pure
- * function of (seed, link index, window index) -- one fresh
- * SplitMix64-seeded Rng per draw -- so fault realizations are identical
+ * function of (seed, link index, window index) -- drawLinkFaults below,
+ * evaluated inline per link -- so fault realizations are identical
  * regardless of routing order, thread count, or how many reservations
  * probed the link. All-zero rates disable the machinery entirely
  * (bit-identical to the fault-free mesh).
@@ -117,6 +117,42 @@ struct LinkFaultConfig
         return c;
     }
 };
+
+/**
+ * Integer form of Rng::bernoulli(p) on a raw 64-bit xoshiro output x:
+ * the trial is true exactly when (x >> 11) < below.
+ */
+struct BernoulliThreshold
+{
+    /** ceil(p * 2^53); 0 (never) for p <= 0 and NaN, 2^53 (always)
+     *  for p >= 1. */
+    std::uint64_t below = 0;
+    /** The trial consumes a generator output: Rng::bernoulli draws
+     *  only when p is not <= 0 and not >= 1 (NaN draws). */
+    bool draws = false;
+};
+
+BernoulliThreshold bernoulliThreshold(double p);
+
+/** One directed link's fault draws for one window. */
+struct LinkFaultDraw
+{
+    bool down = false;  ///< A down interval starts (if the link is up).
+    bool burst = false; ///< The link depolarizes this window's pairs.
+};
+
+/**
+ * The fault draws of directed link @p link at window @p window under
+ * fault seed @p seed: Rng(mix64(mix64(seed + link) + window)), mix64
+ * being the SplitMix64 finalizer, makes the down trial and then the
+ * burst trial. Evaluated branch-free from the generator's seed words,
+ * without building an Rng, so IslandMesh draws every link of a window
+ * in one vectorized pass.
+ */
+LinkFaultDraw drawLinkFaults(std::uint64_t seed, std::uint64_t link,
+                             std::uint64_t window,
+                             const BernoulliThreshold &down,
+                             const BernoulliThreshold &burst);
 
 /**
  * Island mesh with window-slotted channel accounting.
@@ -246,9 +282,13 @@ class IslandMesh
     // Link-fault state (allocated only when faults are installed).
     LinkFaultConfig faults_;
     bool faults_on_ = false;
+    BernoulliThreshold down_threshold_;  // of linkDownRate
+    BernoulliThreshold burst_threshold_; // of burstRate
     std::vector<std::uint8_t> link_valid_; // geometric link slot exists
     std::vector<std::uint64_t> down_until_; // absolute window, exclusive
     std::vector<std::uint8_t> burst_;       // this window only
+    std::vector<std::uint8_t> down_draw_;   // this window's down draws
+    std::vector<std::uint64_t> link_key_;   // mix64(seed + link)
     std::uint64_t down_events_ = 0;
     std::uint64_t down_trials_ = 0;
     std::uint64_t burst_events_ = 0;

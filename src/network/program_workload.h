@@ -20,7 +20,7 @@
  *    pairs in each window (ancilla-network pairs while preparing,
  *    operand-ancilla pairs while finishing).
  *
- * The co-simulator (network/cosim.h) executes this DAG event-driven:
+ * The co-simulator (network/cosim.h) executes this DAG window by window:
  * gate windows advance only when their EPR demands were delivered, so
  * the lowering here is where gate layers become per-window EprDemand
  * streams.

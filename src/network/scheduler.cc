@@ -123,12 +123,9 @@ GreedyEprScheduler::run()
     // Demands deferred from previous windows, with their ages.
     std::vector<std::pair<EprDemand, int>> pending;
 
-    // The simulation is a self-propelled chain on the discrete-event
-    // kernel: each window-boundary event (the instant the next EC cycle
-    // begins and freshly delivered EPR pairs are consumed) processes
-    // one window and schedules its successor.
-    sim::EventQueue events;
-    std::function<void()> window_event = [&]() {
+    // One pass per scheduling window: each pass is the instant the next
+    // EC cycle begins and freshly delivered EPR pairs are consumed.
+    for (int window = 0; window < workload_config_.totalWindows; ++window) {
         for (const EprDemand &demand : workload.nextWindow()) {
             ++report.demands;
             report.pairsRequested += demand.pairs;
@@ -170,13 +167,7 @@ GreedyEprScheduler::run()
         if (window_stalled)
             ++report.stalledWindows;
         mesh.advanceWindow();
-        if (mesh.windowsElapsed()
-            < static_cast<std::uint64_t>(workload_config_.totalWindows))
-            events.scheduleAfter(config_.window, window_event);
-    };
-    if (workload_config_.totalWindows > 0)
-        events.schedule(0.0, window_event);
-    events.run();
+    }
 
     report.windows = mesh.windowsElapsed();
     report.utilization = mesh.aggregateUtilization();

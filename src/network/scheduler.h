@@ -30,7 +30,6 @@
 #include "common/tech_params.h"
 #include "network/mesh.h"
 #include "network/workload.h"
-#include "sim/event_queue.h"
 
 namespace qla::network {
 
@@ -183,9 +182,9 @@ struct SchedulerReport
 
 /**
  * Window-slotted greedy scheduler over the synthetic random-placement
- * Toffoli workload. Each scheduling window is one event on the
- * discrete-event kernel; the window handler schedules its successor, so
- * the run is a self-propelled event chain on sim::EventQueue.
+ * Toffoli workload. The run is a plain loop over scheduling windows:
+ * each pass draws the window's demands, routes them oldest first and
+ * advances the mesh clock.
  */
 class GreedyEprScheduler
 {

@@ -2,7 +2,7 @@
  * @file
  * Interconnect-layer tests (Section 5): island mesh, greedy EPR routing
  * and scheduling, logical-tile placement, program lowering, and the
- * event-driven logical-program co-simulation, including the scheduler
+ * window-loop logical-program co-simulation, including the scheduler
  * invariants (link capacity, EPR-pair conservation, mesh-walk validity,
  * drift bijection) and the paper's bandwidth/drift conclusions.
  */
@@ -11,18 +11,21 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "apps/qcla.h"
 #include "apps/qft.h"
 #include "apps/shor.h"
 #include "apps/toffoli.h"
 #include "arch/region.h"
+#include "common/rng.h"
 #include "network/cosim.h"
 #include "network/mesh.h"
 #include "network/placement.h"
@@ -988,6 +991,40 @@ floatFieldsToNineDecimals(const std::string &text)
 
 } // namespace
 
+TEST(CoSim, SweepBytesIdenticalWithMoreThreadsThanPoints)
+{
+    // Longest-first dispatch runs min(points, threads) workers off one
+    // shared cursor. A 2-point sweep whose cost order reverses its index
+    // order must print the same bytes at 1, 3 and 8 threads, clean and
+    // noisy.
+    std::vector<ProgramWorkload> workloads;
+    workloads.emplace_back(apps::toffoliNetworkCircuit(12, 6));
+    workloads.emplace_back(apps::qclaAdderCircuit(8));
+    ASSERT_LT(workloads[0].totalInteractions(),
+              workloads[1].totalInteractions());
+    CoSimSweepConfig clean;
+    clean.bandwidths = {2};
+    clean.base.placement = PlacementStrategy::Random;
+    CoSimSweepConfig noisy = clean;
+    noisy.faultRates = {0.05};
+    noisy.linkFidelities = {0.96};
+    noisy.purificationLevels = {1};
+    noisy.base.fidelity.opError = 1e-4;
+    noisy.base.fidelity.deliveryThreshold = 0.88;
+    for (CoSimSweepConfig config : {clean, noisy}) {
+        config.threads = 1;
+        const auto serial = runCoSimSweep(workloads, config);
+        ASSERT_EQ(serial.size(), 2u);
+        const std::string want = formatCoSimSweep(serial);
+        for (const int threads : {3, 8}) {
+            config.threads = threads;
+            EXPECT_EQ(formatCoSimSweep(runCoSimSweep(workloads, config)),
+                      want)
+                << threads << " threads";
+        }
+    }
+}
+
 TEST(CoSim, ReportDigestsArePinned)
 {
     // Tripwire for result identity across commits: the determinism
@@ -1319,6 +1356,174 @@ TEST(NoisyCoSim, InjectedFaultProcessMatchesConfiguredRates)
     EXPECT_LE(mesh.linkWindowsDown(),
               mesh.faultDownEvents()
                   * static_cast<std::uint64_t>(faults.linkDownWindows));
+}
+
+namespace {
+
+/** The fault rates the inline draw is checked at: off, vanishing,
+ *  typical, the largest value below 1, certain, out of range, and NaN
+ *  (never true, but Rng::bernoulli still draws for it). */
+const double kFaultRates[] = {0.0,  1e-300, 5e-3,
+                              0.02, 0.25,   1.0 - 0x1.0p-53,
+                              1.0,  1.5,    std::nan("")};
+
+/** SplitMix64 finalizer, spelled out for the reference fault draw. */
+std::uint64_t
+referenceMix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
+/** The fault draw as an Rng object makes it: one fresh generator per
+ *  (seed, link, window), down first, then burst. */
+LinkFaultDraw
+referenceFaultDraw(std::uint64_t seed, std::uint64_t link,
+                   std::uint64_t window, double down_rate,
+                   double burst_rate)
+{
+    Rng rng(referenceMix64(referenceMix64(seed + link) + window));
+    LinkFaultDraw draw;
+    draw.down = rng.bernoulli(down_rate);
+    draw.burst = rng.bernoulli(burst_rate);
+    return draw;
+}
+
+} // namespace
+
+TEST(IslandMesh, BernoulliThresholdMatchesUniformCompare)
+{
+    // bernoulli(p) is uniform() < p with uniform() = (x >> 11) * 2^-53;
+    // the integer threshold must agree on both sides of its boundary.
+    Rng low_bits(99);
+    for (const double p : kFaultRates) {
+        const std::uint64_t threshold = bernoulliThreshold(p).below;
+        EXPECT_EQ(bernoulliThreshold(p).draws, !(p <= 0.0) && !(p >= 1.0));
+        for (const std::uint64_t k :
+             {threshold - 1, threshold, threshold + 1,
+              std::uint64_t{0}, (std::uint64_t{1} << 53) - 1}) {
+            if (k >= (std::uint64_t{1} << 53))
+                continue; // not a 53-bit mantissa draw
+            const bool uniform_says =
+                p > 0.0
+                && (p >= 1.0 || static_cast<double>(k) * 0x1.0p-53 < p);
+            EXPECT_EQ(k < threshold, uniform_says)
+                << "p=" << p << " k=" << k;
+            const std::uint64_t x = (k << 11) | (low_bits.next64() >> 53);
+            EXPECT_EQ((x >> 11) < threshold, uniform_says);
+        }
+    }
+    EXPECT_EQ(bernoulliThreshold(std::nan("")).below, 0u);
+    EXPECT_TRUE(bernoulliThreshold(std::nan("")).draws);
+    EXPECT_EQ(bernoulliThreshold(-0.5).below, 0u);
+    EXPECT_EQ(bernoulliThreshold(1e-300).below, 1u);
+    EXPECT_EQ(bernoulliThreshold(1.0).below, std::uint64_t{1} << 53);
+}
+
+TEST(IslandMesh, InlineFaultDrawMatchesRngReference)
+{
+    // drawLinkFaults evaluates the generator's first two outputs from
+    // its seed words; it must give the Rng object's outcomes for every
+    // (seed, link, window) tuple and every rate pair -- including the
+    // rates at which Rng::bernoulli answers without drawing, so the
+    // burst trial reads the first output.
+    Rng tuples(20261019);
+    for (int i = 0; i < 400; ++i) {
+        const std::uint64_t seed = tuples.next64();
+        const std::uint64_t link = tuples.uniformInt(1u << 20);
+        const std::uint64_t window =
+            i % 2 ? tuples.next64() : tuples.uniformInt(1u << 16);
+        for (const double down : kFaultRates) {
+            for (const double burst : kFaultRates) {
+                const LinkFaultDraw want = referenceFaultDraw(
+                    seed, link, window, down, burst);
+                const LinkFaultDraw got = drawLinkFaults(
+                    seed, link, window, bernoulliThreshold(down),
+                    bernoulliThreshold(burst));
+                ASSERT_EQ(got.down, want.down)
+                    << "seed=" << seed << " link=" << link
+                    << " window=" << window << " down=" << down;
+                ASSERT_EQ(got.burst, want.burst)
+                    << "seed=" << seed << " link=" << link
+                    << " window=" << window << " burst=" << burst;
+            }
+        }
+    }
+}
+
+TEST(IslandMesh, FaultStateAndCountersMatchRngReference)
+{
+    // The mesh's per-link down/burst state and its fault counters,
+    // window by window, against a reference model that draws with one
+    // Rng object per (seed, link, window).
+    const int width = 5;
+    const int height = 4;
+    Rng seeds(7);
+    for (const double down : kFaultRates) {
+        for (const double burst : kFaultRates) {
+            LinkFaultConfig faults;
+            faults.pairLossRate = 0.01; // keeps the model installed
+            faults.linkDownRate = down;
+            faults.burstRate = burst;
+            faults.linkDownWindows = 3;
+            faults.seed = seeds.next64();
+            IslandMesh mesh(width, height, 2, 10);
+            mesh.setLinkFaults(faults);
+
+            const std::size_t slots =
+                static_cast<std::size_t>(width) * height * 4;
+            std::vector<std::uint64_t> down_until(slots, 0);
+            std::uint64_t down_events = 0, down_trials = 0;
+            std::uint64_t burst_events = 0, burst_trials = 0;
+            std::uint64_t windows_down = 0;
+            for (std::uint64_t window = 0; window < 40; ++window) {
+                if (window > 0)
+                    mesh.advanceWindow();
+                for (int y = 0; y < height; ++y) {
+                    for (int x = 0; x < width; ++x) {
+                        for (int d = 0; d < 4; ++d) {
+                            const auto dir = static_cast<Direction>(d);
+                            const IslandCoord from{x, y};
+                            IslandCoord to = from;
+                            to.x += (dir == Direction::East)
+                                - (dir == Direction::West);
+                            to.y += (dir == Direction::North)
+                                - (dir == Direction::South);
+                            if (!mesh.inBounds(to))
+                                continue;
+                            const std::size_t link =
+                                (static_cast<std::size_t>(y) * width + x)
+                                    * 4
+                                + static_cast<std::size_t>(d);
+                            const LinkFaultDraw draw = referenceFaultDraw(
+                                faults.seed, link, window, down, burst);
+                            if (down_until[link] <= window) {
+                                ++down_trials;
+                                if (draw.down) {
+                                    ++down_events;
+                                    down_until[link] = window + 3;
+                                }
+                            }
+                            windows_down += down_until[link] > window;
+                            ++burst_trials;
+                            burst_events += draw.burst;
+                            ASSERT_EQ(mesh.linkDown(from, dir),
+                                      down_until[link] > window);
+                            ASSERT_EQ(mesh.linkBurst(from, dir),
+                                      draw.burst);
+                        }
+                    }
+                }
+                ASSERT_EQ(mesh.faultDownEvents(), down_events);
+                ASSERT_EQ(mesh.faultDownTrials(), down_trials);
+                ASSERT_EQ(mesh.faultBurstEvents(), burst_events);
+                ASSERT_EQ(mesh.faultBurstTrials(), burst_trials);
+                ASSERT_EQ(mesh.linkWindowsDown(), windows_down);
+            }
+        }
+    }
 }
 
 TEST(NoisyCoSim, TransitLossMatchesCompoundedPerHopRate)
