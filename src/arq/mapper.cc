@@ -87,7 +87,8 @@ LayoutMapper::map(const circuit::QuantumCircuit &circuit) const
 
     for (std::size_t idx = 0; idx < circuit.ops().size(); ++idx) {
         const auto &op = circuit.ops()[idx];
-        const auto operands = op.qubits();
+        const circuit::Operands qs = op.qubits();
+        const std::vector<std::size_t> operands(qs.begin(), qs.end());
         Seconds start = 0.0;
         for (std::size_t q : operands)
             start = std::max(start, qubit_free[q]);

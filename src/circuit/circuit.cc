@@ -73,19 +73,6 @@ opName(OpKind kind)
     return "?";
 }
 
-std::vector<std::size_t>
-Op::qubits() const
-{
-    std::vector<std::size_t> result;
-    const int arity = opArity(kind);
-    result.push_back(q0);
-    if (arity >= 2)
-        result.push_back(q1);
-    if (arity >= 3)
-        result.push_back(q2);
-    return result;
-}
-
 QuantumCircuit::QuantumCircuit(std::size_t num_qubits, std::string name)
     : num_qubits_(num_qubits), name_(std::move(name))
 {
@@ -95,10 +82,10 @@ QuantumCircuit::QuantumCircuit(std::size_t num_qubits, std::string name)
 void
 QuantumCircuit::push(Op op)
 {
-    for (std::size_t q : op.qubits())
+    const Operands operands = op.qubits();
+    for (std::size_t q : operands)
         qla_assert(q < num_qubits_, "qubit index ", q, " out of range in ",
                    opName(op.kind));
-    const auto operands = op.qubits();
     for (std::size_t i = 0; i < operands.size(); ++i)
         for (std::size_t j = i + 1; j < operands.size(); ++j)
             qla_assert(operands[i] != operands[j],

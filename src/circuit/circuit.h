@@ -11,6 +11,7 @@
 #ifndef QLA_CIRCUIT_CIRCUIT_H
 #define QLA_CIRCUIT_CIRCUIT_H
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -49,6 +50,19 @@ bool opIsClifford(OpKind kind);
 /** Short mnemonic, e.g. "cnot". */
 const char *opName(OpKind kind);
 
+/** An op's operands trimmed to its arity, held inline: reads like a
+ *  container and never touches the heap. */
+struct Operands
+{
+    std::array<std::size_t, 3> q{};
+    std::size_t count = 0;
+
+    std::size_t size() const { return count; }
+    const std::size_t *begin() const { return q.data(); }
+    const std::size_t *end() const { return q.data() + count; }
+    std::size_t operator[](std::size_t i) const { return q[i]; }
+};
+
 /** One operation; unused operand slots hold kInvalidQubit. */
 struct Op
 {
@@ -66,7 +80,10 @@ struct Op
     int condition = -1;
 
     /** Operand list trimmed to the op's arity. */
-    std::vector<std::size_t> qubits() const;
+    Operands qubits() const
+    {
+        return {{q0, q1, q2}, static_cast<std::size_t>(opArity(kind))};
+    }
 };
 
 /**

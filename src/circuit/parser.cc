@@ -1,7 +1,7 @@
 #include "circuit/parser.h"
 
+#include <charconv>
 #include <sstream>
-#include <vector>
 
 namespace qla::circuit {
 
@@ -23,6 +23,16 @@ kindFromName(const std::string &name)
         if (name == opName(kind))
             return kind;
     return std::nullopt;
+}
+
+/** Parse @p token as a decimal index: digits only (no sign, no
+ *  trailing characters) and no overflow. */
+bool
+parseIndex(const std::string &token, std::size_t &out)
+{
+    const char *end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+    return !token.empty() && ec == std::errc{} && ptr == end;
 }
 
 std::string
@@ -68,8 +78,10 @@ parseCircuit(const std::string &text)
             continue; // blank line
 
         if (mnemonic == "qubits") {
+            std::string token;
             std::size_t count = 0;
-            if (!(tokens >> count) || count == 0) {
+            if (!(tokens >> token) || !parseIndex(token, count)
+                || count == 0) {
                 result.error = located(line_number,
                                        "bad qubit count");
                 return result;
@@ -97,10 +109,11 @@ parseCircuit(const std::string &text)
         }
 
         const int arity = opArity(*kind);
-        std::vector<std::size_t> operands;
+        std::size_t operands[3] = {};
         for (int i = 0; i < arity; ++i) {
-            std::size_t q = 0;
-            if (!(tokens >> q)) {
+            std::string token;
+            std::size_t &q = operands[i];
+            if (!(tokens >> token) || !parseIndex(token, q)) {
                 result.error = located(line_number,
                                        "expected operand for '"
                                            + mnemonic + "'");
@@ -111,7 +124,13 @@ parseCircuit(const std::string &text)
                                        "qubit index out of range");
                 return result;
             }
-            operands.push_back(q);
+            for (int j = 0; j < i; ++j) {
+                if (operands[j] == q) {
+                    result.error = located(line_number,
+                                           "repeated operand");
+                    return result;
+                }
+            }
         }
 
         // Optional condition suffix: "? m<k>".
@@ -119,22 +138,21 @@ parseCircuit(const std::string &text)
         std::string suffix;
         if (tokens >> suffix) {
             std::string mref;
-            if (suffix != "?" || !(tokens >> mref) || mref.size() < 2
-                || mref[0] != 'm') {
+            std::size_t index = 0;
+            if (suffix != "?" || !(tokens >> mref) || mref[0] != 'm'
+                || !parseIndex(mref.substr(1), index) || (tokens >> mref)) {
                 result.error = located(line_number,
                                        "trailing tokens; expected "
                                        "'? m<k>'");
                 return result;
             }
-            condition = std::atoi(mref.c_str() + 1);
-            if (condition < 0
-                || static_cast<std::size_t>(condition)
-                    >= measurements) {
+            if (index >= measurements) {
                 result.error = located(
                     line_number,
                     "condition references a later measurement");
                 return result;
             }
+            condition = static_cast<int>(index);
         }
 
         switch (*kind) {

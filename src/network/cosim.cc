@@ -66,7 +66,9 @@ struct PendingDemand
     std::uint64_t backoffUntil = 0;
 };
 
-/** A gate occupying its operands (and gadget ancilla tiles). */
+/** A gate occupying its operands (and gadget ancilla tiles). Its
+ *  per-window delivery counts and ancilla entities live in the engine's
+ *  dense per-gate tables, so activating a gate allocates nothing. */
 struct ActiveGate
 {
     std::size_t id = 0;
@@ -93,12 +95,6 @@ struct ActiveGate
      *  fetched an operand encoded below the compute level; worked off
      *  after delivery, before progress commits. */
     int conversionWindows = 0;
-    /** Pending mesh demands per emitted relative window. */
-    std::vector<int> undeliveredFor;
-    /** Interactions per emitted relative window (drift applies when the
-     *  window commits). */
-    std::vector<std::vector<MemberInteraction>> interactionsFor;
-    std::vector<EntityId> ancillas;
 };
 
 /**
@@ -158,12 +154,25 @@ class CoSimEngine
                     uses_of_[q].push_back(i);
         }
         far_deps_.resize(program_.gates().size());
+        window_base_.resize(program_.gates().size());
+        ancilla_base_.resize(program_.gates().size());
+        std::size_t windows = 0;
+        std::size_t ancillas = 0;
         for (std::size_t i = 0; i < program_.gates().size(); ++i) {
+            window_base_[i] = windows;
+            ancilla_base_[i] = ancillas;
+            windows += static_cast<std::size_t>(
+                program_.gates()[i].durationWindows);
+            ancillas += static_cast<std::size_t>(
+                program_.gates()[i].ancillaCount);
             deps_remaining_[i] = program_.gates()[i].dependencyCount;
             far_deps_[i] = deps_remaining_[i];
             if (deps_remaining_[i] == 0)
                 ready_.push_back(i);
         }
+        undelivered_.assign(windows, 0);
+        ancillas_.assign(ancillas, kNoEntity);
+        urgency_base_.assign(program_.gates().size(), -1);
         warmup_remaining_ = std::max(0, config_.prefetchWindows);
         report_.perGate.resize(program_.gates().size());
 
@@ -221,7 +230,7 @@ class CoSimEngine
     EntityId entityOf(const ActiveGate &g, const GateMember &m) const
     {
         if (m.isAncilla)
-            return g.ancillas[m.index];
+            return ancillas_[ancilla_base_[g.id] + m.index];
         return program_.gates()[g.id].qubits[m.index];
     }
 
@@ -242,13 +251,14 @@ class CoSimEngine
         routeWindow();
         if (warmup_remaining_ > 0)
             return;
-        // Snapshot first: a gate that completes leaves active_.
-        advancing_.clear();
-        for (const ActiveGate &g : active_)
+        for (ActiveGate &g : active_)
             if (g.started)
-                advancing_.push_back(g.id);
-        for (const std::size_t id : advancing_)
-            advanceGate(id);
+                advanceGate(g);
+        // Completed gates leave active_ only now, so the advance loop
+        // walks a stable vector.
+        std::erase_if(active_, [&](const ActiveGate &g) {
+            return g.progress == program_.gates()[g.id].durationWindows;
+        });
     }
 
     /** Warmup variant of startReadyGates: pre-activate the ready gates
@@ -258,13 +268,9 @@ class CoSimEngine
         for (const std::size_t id : ready_) {
             if (isActive(id))
                 continue;
-            const LogicalGate &gate = program_.gates()[id];
-            ActiveGate active;
-            active.id = id;
-            if (gate.ancillaCount > 0
-                && !allocateAncillas(gate, active.ancillas))
+            if (!allocateAncillas(id))
                 continue; // retried next window
-            insertActive(std::move(active));
+            insertActive(ActiveGate{.id = id});
         }
     }
 
@@ -293,15 +299,11 @@ class CoSimEngine
                 // demands are in flight; computation starts now.
                 ActiveGate &g = gateById(id);
                 g.started = true;
+                markProgress(g);
                 notifyIfNearDone(g);
                 continue;
             }
-            const LogicalGate &gate = program_.gates()[id];
-            ActiveGate active;
-            active.id = id;
-            active.started = true;
-            if (gate.ancillaCount > 0
-                && !allocateAncillas(gate, active.ancillas)) {
+            if (!allocateAncillas(id)) {
                 // The gate is runnable but the mesh has no room for
                 // its gadget ancillas: a stall, charged to its own
                 // ledger so undersized meshes are diagnosable.
@@ -309,15 +311,22 @@ class CoSimEngine
                 still_ready_.push_back(id); // retry next window
                 continue;
             }
-            insertActive(std::move(active));
+            insertActive(ActiveGate{.id = id, .started = true});
             notifyIfNearDone(gateById(id));
         }
         ready_.swap(still_ready_);
     }
 
-    void insertActive(ActiveGate gate)
+    void insertActive(const ActiveGate &gate)
     {
-        active_.insert(lowerBoundById(gate.id), std::move(gate));
+        markProgress(gate);
+        active_.insert(lowerBoundById(gate.id), gate);
+    }
+
+    /** Refresh @p g's urgency base after it starts or commits. */
+    void markProgress(const ActiveGate &g)
+    {
+        urgency_base_[g.id] = g.started ? g.progress : -1;
     }
 
     /** Gates whose every dependency is inside its final prefetch
@@ -332,15 +341,11 @@ class CoSimEngine
         for (const std::size_t id : imminent_) {
             if (isActive(id) || deps_remaining_[id] == 0)
                 continue; // started (or about to) through the ready path
-            const LogicalGate &gate = program_.gates()[id];
-            ActiveGate active;
-            active.id = id;
-            if (gate.ancillaCount > 0
-                && !allocateAncillas(gate, active.ancillas)) {
+            if (!allocateAncillas(id)) {
                 retry_.push_back(id);
                 continue;
             }
-            insertActive(std::move(active));
+            insertActive(ActiveGate{.id = id});
         }
         imminent_.swap(retry_);
     }
@@ -362,11 +367,13 @@ class CoSimEngine
                 imminent_.push_back(s);
     }
 
-    /** Allocate the gadget's ancilla tiles next to its target operand;
-     *  all-or-nothing. */
-    bool allocateAncillas(const LogicalGate &gate,
-                          std::vector<EntityId> &out)
+    /** Allocate gate @p id's gadget ancilla tiles (if any) next to its
+     *  operands, into its ancillas_ slots; all-or-nothing. */
+    bool allocateAncillas(std::size_t id)
     {
+        const LogicalGate &gate = program_.gates()[id];
+        if (gate.ancillaCount == 0)
+            return true;
         // Anchor at the operand centroid: finish-phase interactions
         // couple every operand to the ancilla block, so the worst
         // operand distance is what stalls gates with far-apart operands.
@@ -380,17 +387,16 @@ class CoSimEngine
         anchor.y /= static_cast<int>(gate.qubits.size());
         // Ancilla factories exist only in the compute region (the point
         // of the CQLA split), so gadget tiles must allocate there.
+        EntityId *out = ancillas_.data() + ancilla_base_[id];
         for (int i = 0; i < gate.ancillaCount; ++i) {
             const auto tile = placement_.nearestFree(anchor, compute_band_);
             if (!tile) {
-                for (const EntityId e : out)
-                    releaseAncilla(e);
-                out.clear();
+                for (int j = 0; j < i; ++j)
+                    releaseAncilla(out[j]);
                 return false;
             }
-            const EntityId entity = acquireAncillaEntity();
-            placement_.assign(entity, *tile);
-            out.push_back(entity);
+            out[i] = acquireAncillaEntity();
+            placement_.assign(out[i], *tile);
         }
         return true;
     }
@@ -426,16 +432,14 @@ class CoSimEngine
                 duration, g.progress + 1 + config_.prefetchWindows);
             while (g.emittedUpTo < horizon) {
                 const int rel = g.emittedUpTo++;
-                auto interactions = program_.interactionsForWindow(
-                    g.id, rel);
-                g.undeliveredFor.push_back(0);
                 // Cache classification (PR 8): the first emitted window
                 // fetches missing operands before their islands are
                 // read, so the gate's own demands target the
                 // post-fetch placement.
                 std::size_t slot =
                     rel == 0 ? serviceCacheMisses(g) : 0;
-                for (const MemberInteraction &inter : interactions) {
+                for (const MemberInteraction &inter :
+                     program_.interactionsForWindow(g.id, rel)) {
                     ++report_.interactions;
                     const IslandCoord src = placement_.islandOf(
                         entityOf(g, inter.mover));
@@ -449,7 +453,6 @@ class CoSimEngine
                         emitOne(g, rel, slot++, dst, src,
                                 program_.config().pairsPerInteraction);
                 }
-                g.interactionsFor.push_back(std::move(interactions));
             }
         }
     }
@@ -469,7 +472,7 @@ class CoSimEngine
         pd.slot = slot;
         pd.demand = EprDemand{src, dst, pairs, g.id};
         pending_.push_back(pd);
-        ++g.undeliveredFor[static_cast<std::size_t>(rel)];
+        ++undeliveredAt(g.id, rel);
     }
 
     bool inCompute(const TileCoord &t) const
@@ -587,15 +590,15 @@ class CoSimEngine
     bool evictColdest(ActiveGate &g, std::size_t &slot)
     {
         const std::size_t n = program_.circuit().numQubits();
-        std::vector<bool> pinned(n, false);
+        pinned_.assign(n, 0);
         for (const ActiveGate &a : active_)
             for (const std::size_t q : program_.gates()[a.id].qubits)
-                pinned[q] = true;
+                pinned_[q] = 1;
         constexpr std::uint64_t kNever = ~std::uint64_t{0};
         EntityId victim = kNoEntity;
         std::uint64_t victim_next = 0;
         for (std::size_t q = 0; q < n; ++q) {
-            if (pinned[q] || !placement_.isPlaced(q)
+            if (pinned_[q] || !placement_.isPlaced(q)
                 || !inCompute(placement_.tileOf(q)))
                 continue;
             const auto &uses = uses_of_[q];
@@ -627,15 +630,12 @@ class CoSimEngine
     {
         // Most urgent first: windows closest to consumption, then
         // oldest, then longest routes, then (gate, window, slot) to pin
-        // the order fully. Urgency is precomputed once per window; the
-        // comparator must stay lookup-free.
-        for (PendingDemand &pd : pending_) {
-            const ActiveGate &g = gateById(pd.gate);
-            // Pre-active gates cannot consume this window; their
-            // demands yield to every started gate's current window.
-            pd.urgency = g.started ? pd.relWindow - g.progress
-                                   : pd.relWindow + 1;
-        }
+        // the order fully. Urgency is precomputed once per window from
+        // the dense per-gate base (pre-active gates cannot consume this
+        // window, so their demands yield to every started gate's
+        // current window); the comparator must stay lookup-free.
+        for (PendingDemand &pd : pending_)
+            pd.urgency = pd.relWindow - urgency_base_[pd.gate];
         std::sort(pending_.begin(), pending_.end(),
                   [](const PendingDemand &a, const PendingDemand &b) {
                       if (a.urgency != b.urgency)
@@ -664,22 +664,20 @@ class CoSimEngine
                 still_pending_.push_back(pd);
                 continue;
             }
-            RouteDelivery delivery;
             const std::uint64_t moved = router_.routePairs(
                 mesh_, pd.demand, pd.demand.pairs, route_stats_,
-                noisy_ ? &delivery : nullptr);
+                noisy_ ? &delivery_ : nullptr);
             std::uint64_t usable = moved;
             bool abandon = false;
             if (noisy_)
-                usable = processDelivery(pd, delivery, abandon);
+                usable = processDelivery(pd, delivery_, abandon);
             report_.pairsRoutedOnMesh += usable;
             pd.demand.pairs -= usable;
             if (pd.demand.pairs == 0) {
                 route_length_sum_ += islandDistance(
                     pd.demand.source, pd.demand.destination);
                 ++routed_count_;
-                --gateById(pd.gate).undeliveredFor[
-                    static_cast<std::size_t>(pd.relWindow)];
+                --undeliveredAt(pd.gate, pd.relWindow);
             } else if (abandon) {
                 abandonDemand(pd);
             } else {
@@ -774,7 +772,14 @@ class CoSimEngine
             ++report_.gatesDegraded;
         }
         g.penaltyWindows += config_.fidelity.abandonPenaltyWindows;
-        --g.undeliveredFor[static_cast<std::size_t>(pd.relWindow)];
+        --undeliveredAt(pd.gate, pd.relWindow);
+    }
+
+    /** Pending mesh demands of gate @p gate's relative window @p rel. */
+    int &undeliveredAt(std::size_t gate, int rel)
+    {
+        return undelivered_[window_base_[gate]
+                            + static_cast<std::size_t>(rel)];
     }
 
     ActiveGate &gateById(std::size_t id)
@@ -785,9 +790,9 @@ class CoSimEngine
         return *it;
     }
 
-    void advanceGate(std::size_t id)
+    void advanceGate(ActiveGate &g)
     {
-        ActiveGate &g = gateById(id);
+        const std::size_t id = g.id;
         if (g.penaltyWindows > 0) {
             // Abandonment fallback executing (ballistic re-shipment /
             // re-synthesis of the missing interaction): the gate burns
@@ -803,7 +808,7 @@ class CoSimEngine
             }
             return;
         }
-        if (g.undeliveredFor[static_cast<std::size_t>(g.progress)] > 0) {
+        if (undeliveredAt(id, g.progress) > 0) {
             // Gated on delivery: this window did not commit.
             ++report_.stallWindows;
             ++report_.perGate[id].stallWindows;
@@ -829,7 +834,7 @@ class CoSimEngine
         }
         if (config_.driftOptimization) {
             for (const MemberInteraction &inter :
-             g.interactionsFor[static_cast<std::size_t>(g.progress)]) {
+                 program_.interactionsForWindow(id, g.progress)) {
                 const EntityId mover = entityOf(g, inter.mover);
                 const EntityId target = entityOf(g, inter.target);
                 // Drift must not cross the region boundary: a fetched
@@ -844,18 +849,20 @@ class CoSimEngine
             }
         }
         ++g.progress;
+        markProgress(g);
         notifyIfNearDone(g);
-        if (g.progress
-            < program_.gates()[g.id].durationWindows)
+        const LogicalGate &gate = program_.gates()[id];
+        if (g.progress < gate.durationWindows)
             return;
-        // Complete: free the gadget tiles, unlock successors.
-        for (const EntityId e : g.ancillas)
-            releaseAncilla(e);
-        for (const std::size_t s : program_.gates()[g.id].successors)
+        // Complete: free the gadget tiles, unlock successors. The caller
+        // drops the gate from active_ once every gate has advanced.
+        for (int i = 0; i < gate.ancillaCount; ++i)
+            releaseAncilla(ancillas_[ancilla_base_[id]
+                                     + static_cast<std::size_t>(i)]);
+        for (const std::size_t s : gate.successors)
             if (--deps_remaining_[s] == 0)
                 ready_.push_back(s);
         std::sort(ready_.begin(), ready_.end());
-        active_.erase(lowerBoundById(id));
         ++report_.gates;
     }
 
@@ -917,11 +924,22 @@ class CoSimEngine
     std::vector<std::size_t> ready_;   // sorted gate ids
     std::vector<ActiveGate> active_;   // sorted by id
     std::vector<PendingDemand> pending_;
+    // Dense per-gate tables, sized once: a gate's window w counts its
+    // pending mesh demands at undelivered_[window_base_[gate] + w], its
+    // gadget ancillas sit at ancillas_[ancilla_base_[gate] + slot], and
+    // a pending demand's urgency is relWindow - urgency_base_[gate]
+    // (windows committed once started, -1 while pre-active).
+    std::vector<std::size_t> window_base_;
+    std::vector<std::size_t> ancilla_base_;
+    std::vector<int> undelivered_;
+    std::vector<EntityId> ancillas_;
+    std::vector<int> urgency_base_;
     // Per-window scratch, reused so a window allocates nothing.
-    std::vector<std::size_t> advancing_; ///< Started gates, id order.
     std::vector<std::size_t> still_ready_;
     std::vector<std::size_t> retry_;
     std::vector<PendingDemand> still_pending_;
+    RouteDelivery delivery_;
+    std::vector<std::uint8_t> pinned_; ///< evictColdest's held qubits.
     std::vector<std::size_t> free_ancilla_slots_; // min-heap
     std::size_t next_ancilla_slot_ = 0;
     int warmup_remaining_ = 0;

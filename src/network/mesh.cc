@@ -124,33 +124,40 @@ IslandMesh::walkLinks(IslandPath path, Visit &&visit) const
     return true;
 }
 
-bool
-IslandMesh::reservePath(IslandPath path, std::uint64_t pairs)
+std::uint64_t
+IslandMesh::freeOnPath(IslandPath path, std::uint64_t want) const
 {
-    const bool fits = walkLinks(path, [&](std::size_t link) {
-        return used_[link] + pairs <= capacityOf(link);
-    });
-    if (!fits)
-        return false;
     walkLinks(path, [&](std::size_t link) {
-        used_[link] += pairs;
-        window_reserved_ += pairs;
-        total_reserved_ += pairs;
+        const std::uint64_t cap = capacityOf(link);
+        want = std::min(want, used_[link] >= cap ? 0 : cap - used_[link]);
+        return want != 0;
+    });
+    return want;
+}
+
+std::uint64_t
+IslandMesh::reserveUpTo(IslandPath path, std::uint64_t want)
+{
+    const std::uint64_t amount = freeOnPath(path, want);
+    if (amount == 0)
+        return 0;
+    std::uint64_t links = 0;
+    walkLinks(path, [&](std::size_t link) {
+        qla_assert(used_[link] + amount <= capacityOf(link),
+                   "reservation overbooks link ", link);
+        used_[link] += amount;
+        ++links;
         return true;
     });
-    return true;
+    window_reserved_ += amount * links;
+    total_reserved_ += amount * links;
+    return amount;
 }
 
 std::uint64_t
 IslandMesh::maxReservable(IslandPath path) const
 {
-    std::uint64_t free = ~std::uint64_t{0};
-    walkLinks(path, [&](std::size_t link) {
-        const std::uint64_t cap = capacityOf(link);
-        free = std::min(free, used_[link] >= cap ? 0 : cap - used_[link]);
-        return free != 0;
-    });
-    return free;
+    return freeOnPath(path, ~std::uint64_t{0});
 }
 
 void

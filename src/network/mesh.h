@@ -191,11 +191,14 @@ class IslandMesh
     std::uint64_t usedSlots(const IslandCoord &from, Direction dir) const;
 
     /**
-     * Try to reserve @p pairs slots on every directed link along
-     * @p path. All-or-nothing.
-     * @return true when the reservation succeeded.
+     * Reserve min(@p want, maxReservable(@p path)) slots on every
+     * directed link along @p path: one min-free walk, then one commit
+     * walk that checks each link's capacity again as it books it, so a
+     * path that crosses a directed link twice aborts instead of
+     * overbooking it (router paths never do).
+     * @return the slots reserved per link (@p want on a trivial path).
      */
-    bool reservePath(IslandPath path, std::uint64_t pairs);
+    std::uint64_t reserveUpTo(IslandPath path, std::uint64_t want);
 
     /** Largest reservation the path can currently accept (min over its
      *  links of the free slots, stopping at the first full link);
@@ -262,6 +265,10 @@ class IslandMesh
     bool walkLinks(IslandPath path, Visit &&visit) const;
 
     static IslandCoord neighbor(const IslandCoord &c, Direction dir);
+
+    /** min(@p want, free slots of every link on @p path), stopping at
+     *  the first link with none. */
+    std::uint64_t freeOnPath(IslandPath path, std::uint64_t want) const;
 
     /** Capacity of link slot @p link this window (0 while down). */
     std::uint64_t capacityOf(std::size_t link) const;

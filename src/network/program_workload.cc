@@ -19,15 +19,33 @@ gateDuration(circuit::OpKind kind, const ProgramConfig &config)
     return 1;
 }
 
-const GateMember kOp0{false, 0};
-const GateMember kOp1{false, 1};
-const GateMember kOp2{false, 2};
+constexpr GateMember kOp0{false, 0};
+constexpr GateMember kOp1{false, 1};
+constexpr GateMember kOp2{false, 2};
 
-GateMember
+constexpr GateMember
 anc(std::size_t slot)
 {
     return {true, slot};
 }
+
+// One transversal round: the control teleports to the target ("logical
+// qubit A is teleported to B"). A swap moves both ways: two rounds.
+constexpr MemberInteraction kTwoQubit[] = {{kOp0, kOp1}};
+constexpr MemberInteraction kSwap[] = {{kOp0, kOp1}, {kOp1, kOp0}};
+
+// Fixed cyclic Toffoli schedules keep the lowering deterministic. While
+// preparing (the first 15 windows) the 6-qubit ancilla network interacts
+// internally; finishing (the last 6) couples each operand to its
+// ancilla pair.
+constexpr MemberInteraction kToffoliPrep[6] = {
+    {anc(0), anc(1)}, {anc(2), anc(3)}, {anc(4), anc(5)},
+    {anc(1), anc(2)}, {anc(3), anc(4)}, {anc(5), anc(0)},
+};
+constexpr MemberInteraction kToffoliFinish[6] = {
+    {kOp0, anc(0)}, {kOp1, anc(2)}, {kOp2, anc(4)},
+    {anc(1), kOp0}, {anc(3), kOp1}, {anc(5), kOp2},
+};
 
 } // namespace
 
@@ -38,6 +56,24 @@ ProgramWorkload::ProgramWorkload(circuit::QuantumCircuit circuit,
     qla_assert(config_.toffoli.ancillaQubits == 6,
                "Toffoli gadget shape changed; update the interaction "
                "schedules");
+    qla_assert(config_.toffoliInteractionsPerWindow >= 0,
+               "negative Toffoli interactions per window");
+    // Window w's interactions continue the cycle where window w - 1
+    // stopped: entries (w * count + i) mod 6 of its phase's cycle.
+    const auto count =
+        static_cast<std::size_t>(config_.toffoliInteractionsPerWindow);
+    const auto prep = static_cast<std::size_t>(config_.toffoli.prepEccSteps);
+    const auto windows = static_cast<std::size_t>(
+        gateDuration(circuit::OpKind::Toffoli, config_));
+    toffoli_schedule_.reserve(windows * count);
+    for (std::size_t w = 0; w < windows; ++w) {
+        // A named pointer, not (prep ? kPrep : kFinish)[k]: GCC 12's
+        // -fsanitize=undefined miscompiles that indexing form.
+        const MemberInteraction *cycle =
+            w < prep ? kToffoliPrep : kToffoliFinish;
+        for (std::size_t i = 0; i < count; ++i)
+            toffoli_schedule_.push_back(cycle[(w * count + i) % 6]);
+    }
     const auto &ops = circuit_.ops();
     gates_.reserve(ops.size());
     // Last gate that touched each qubit (program order): a gate depends
@@ -71,7 +107,7 @@ ProgramWorkload::ProgramWorkload(circuit::QuantumCircuit circuit,
     }
 }
 
-std::vector<MemberInteraction>
+std::span<const MemberInteraction>
 ProgramWorkload::interactionsForWindow(std::size_t gate, int window) const
 {
     qla_assert(gate < gates_.size(), "gate id out of range");
@@ -82,35 +118,15 @@ ProgramWorkload::interactionsForWindow(std::size_t gate, int window) const
     switch (g.kind) {
       case circuit::OpKind::Cnot:
       case circuit::OpKind::Cz:
-        // One transversal round: the control teleports to the target
-        // ("logical qubit A is teleported to B").
-        return {{kOp0, kOp1}};
+        return kTwoQubit;
       case circuit::OpKind::Swap:
-        // Both directions move: two transversal rounds.
-        return {{kOp0, kOp1}, {kOp1, kOp0}};
+        return kSwap;
       case circuit::OpKind::Toffoli: {
-        // Fixed cyclic schedules keep the lowering deterministic. While
-        // preparing (the first 15 windows) the 6-qubit ancilla network
-        // interacts internally; finishing (the last 6) couples each
-        // operand to its ancilla pair.
-        static const MemberInteraction kPrep[6] = {
-            {anc(0), anc(1)}, {anc(2), anc(3)}, {anc(4), anc(5)},
-            {anc(1), anc(2)}, {anc(3), anc(4)}, {anc(5), anc(0)},
-        };
-        static const MemberInteraction kFinish[6] = {
-            {kOp0, anc(0)}, {kOp1, anc(2)}, {kOp2, anc(4)},
-            {anc(1), kOp0}, {anc(3), kOp1}, {anc(5), kOp2},
-        };
-        const bool prep = window
-            < static_cast<int>(config_.toffoli.prepEccSteps);
-        const auto &cycle = prep ? kPrep : kFinish;
-        std::vector<MemberInteraction> out;
-        const int count = config_.toffoliInteractionsPerWindow;
-        out.reserve(static_cast<std::size_t>(count));
-        for (int i = 0; i < count; ++i)
-            out.push_back(cycle[(static_cast<std::size_t>(window)
-                                 * count + i) % 6]);
-        return out;
+        const auto count = static_cast<std::size_t>(
+            config_.toffoliInteractionsPerWindow);
+        return {toffoli_schedule_.data()
+                    + static_cast<std::size_t>(window) * count,
+                count};
       }
       default:
         return {}; // tile-local: no interconnect traffic

@@ -30,6 +30,7 @@
 #define QLA_NETWORK_PROGRAM_WORKLOAD_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "apps/toffoli.h"
@@ -58,10 +59,7 @@ struct GateMember
     /** Operand position (into LogicalGate::qubits) or ancilla slot. */
     std::size_t index = 0;
 
-    bool operator==(const GateMember &o) const
-    {
-        return isAncilla == o.isAncilla && index == o.index;
-    }
+    bool operator==(const GateMember &) const = default;
 };
 
 /** One transversal logical interaction: @p mover teleports to @p target
@@ -78,7 +76,7 @@ struct LogicalGate
     std::size_t id = 0;
     circuit::OpKind kind = circuit::OpKind::X;
     /** Circuit operand qubits. */
-    std::vector<std::size_t> qubits;
+    circuit::Operands qubits;
     /** EC windows the gate occupies on its operands. */
     int durationWindows = 1;
     /** Transient logical-ancilla tiles the gate needs (6 for Toffoli). */
@@ -105,9 +103,11 @@ class ProgramWorkload
     /**
      * Interacting member pairs for window @p window (0-based) of gate
      * @p gate. Deterministic: Toffoli windows cycle through fixed
-     * ancilla-network / operand-ancilla pair schedules.
+     * ancilla-network / operand-ancilla pair schedules. A view into
+     * static tables or this workload's Toffoli schedule: valid while
+     * the workload lives, and no call allocates.
      */
-    std::vector<MemberInteraction> interactionsForWindow(
+    std::span<const MemberInteraction> interactionsForWindow(
         std::size_t gate, int window) const;
 
     /**
@@ -139,6 +139,9 @@ class ProgramWorkload
     circuit::QuantumCircuit circuit_;
     ProgramConfig config_;
     std::vector<LogicalGate> gates_;
+    /** Every Toffoli window's interactions, window-major
+     *  (toffoliInteractionsPerWindow per window). */
+    std::vector<MemberInteraction> toffoli_schedule_;
 };
 
 /** Island-mesh extent. */

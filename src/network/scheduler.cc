@@ -48,6 +48,8 @@ EprRouter::routePairs(IslandMesh &mesh, const EprDemand &demand,
                       std::uint64_t pairs, RouteStats &stats,
                       RouteDelivery *delivery) const
 {
+    if (delivery != nullptr)
+        delivery->grabs.clear();
     if (demand.source == demand.destination)
         return pairs; // co-located after drift; no mesh traffic
 
@@ -57,14 +59,11 @@ EprRouter::routePairs(IslandMesh &mesh, const EprDemand &demand,
         const IslandPath path(route);
         if (remaining == 0)
             return;
-        const std::uint64_t amount = std::min(remaining,
-                                              mesh.maxReservable(path));
+        const std::uint64_t amount = mesh.reserveUpTo(path, remaining);
         if (amount == 0)
             return;
         if (!first_path)
             ++stats.backoffReroutes;
-        const bool ok = mesh.reservePath(path, amount);
-        qla_assert(ok, "reservation within free capacity failed");
         remaining -= amount;
         first_path = false;
         if (delivery != nullptr)

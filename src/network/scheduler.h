@@ -144,10 +144,11 @@ class EprRouter
      * splitting across alternate paths when the greedy route saturates.
      * Co-located demands (source == destination) need no mesh capacity
      * and are reported fully routed.
-     * @param delivery When non-null, receives one PathGrab per reserved
-     *        path (pairs, hop count, bursting links crossed) so the
-     *        caller can price loss and fidelity. Co-located pairs
-     *        produce no grab.
+     * @param delivery When non-null, its grabs are replaced by one
+     *        PathGrab per reserved path (pairs, hop count, bursting
+     *        links crossed) so the caller can price loss and fidelity;
+     *        a caller that keeps one RouteDelivery across calls reuses
+     *        its storage. Co-located pairs produce no grab.
      * @return pairs actually reserved this window.
      */
     std::uint64_t routePairs(IslandMesh &mesh, const EprDemand &demand,

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "arq/executor.h"
 #include "circuit/builders.h"
 #include "circuit/circuit.h"
@@ -25,6 +27,27 @@ TEST(CircuitIr, ArityAndClifford)
     EXPECT_TRUE(opIsClifford(OpKind::Cnot));
     EXPECT_FALSE(opIsClifford(OpKind::T));
     EXPECT_FALSE(opIsClifford(OpKind::Toffoli));
+}
+
+TEST(CircuitIr, OperandViewMatchesArity)
+{
+    // Every kind's operand view holds exactly its first opArity()
+    // operand slots, in order.
+    for (int k = 0; k <= static_cast<int>(OpKind::MeasureX); ++k) {
+        const auto kind = static_cast<OpKind>(k);
+        const Op op{kind, 7, 8, 9};
+        const Operands qs = op.qubits();
+        ASSERT_EQ(qs.size(), static_cast<std::size_t>(opArity(kind)))
+            << opName(kind);
+        const std::vector<std::size_t> expected{7, 8, 9};
+        EXPECT_EQ(std::vector<std::size_t>(qs.begin(), qs.end()),
+                  std::vector<std::size_t>(expected.begin(),
+                                           expected.begin() + qs.size()))
+            << opName(kind);
+        for (std::size_t i = 0; i < qs.size(); ++i)
+            EXPECT_EQ(qs[i], expected[i]);
+    }
+    EXPECT_EQ(Operands().size(), 0u);
 }
 
 TEST(CircuitIr, CountsAndCliffordDetection)

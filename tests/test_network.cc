@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -43,11 +44,12 @@ TEST(IslandMesh, CapacityAccounting)
     EXPECT_EQ(mesh.linkCapacity(), 20u);
     const std::vector<IslandCoord> path{{0, 0}, {1, 0}, {2, 0}};
     EXPECT_EQ(mesh.maxReservable(path), 20u);
-    EXPECT_TRUE(mesh.reservePath(path, 15));
+    EXPECT_EQ(mesh.reserveUpTo(path, 15), 15u);
     EXPECT_EQ(mesh.maxReservable(path), 5u);
-    EXPECT_FALSE(mesh.reservePath(path, 6)); // over capacity
-    EXPECT_TRUE(mesh.reservePath(path, 5));
+    EXPECT_EQ(mesh.reserveUpTo(path, 6), 5u); // capped at what is free
     EXPECT_EQ(mesh.maxReservable(path), 0u);
+    EXPECT_EQ(mesh.reserveUpTo(path, 1), 0u); // full
+    EXPECT_EQ(mesh.reservedThisWindow(), 40u); // 20 pairs x 2 links
 }
 
 TEST(IslandMesh, DirectedLinksAreIndependent)
@@ -55,17 +57,17 @@ TEST(IslandMesh, DirectedLinksAreIndependent)
     IslandMesh mesh(3, 3, 1, 10);
     const std::vector<IslandCoord> east{{0, 0}, {1, 0}};
     const std::vector<IslandCoord> west{{1, 0}, {0, 0}};
-    EXPECT_TRUE(mesh.reservePath(east, 10));
+    EXPECT_EQ(mesh.reserveUpTo(east, 10), 10u);
     // The opposite direction has its own channels.
-    EXPECT_TRUE(mesh.reservePath(west, 10));
-    EXPECT_FALSE(mesh.reservePath(east, 1));
+    EXPECT_EQ(mesh.reserveUpTo(west, 10), 10u);
+    EXPECT_EQ(mesh.reserveUpTo(east, 1), 0u);
 }
 
 TEST(IslandMesh, WindowAdvanceClearsReservations)
 {
     IslandMesh mesh(3, 3, 1, 10);
     const std::vector<IslandCoord> path{{0, 0}, {1, 0}};
-    EXPECT_TRUE(mesh.reservePath(path, 10));
+    EXPECT_EQ(mesh.reserveUpTo(path, 10), 10u);
     mesh.advanceWindow();
     EXPECT_EQ(mesh.maxReservable(path), 10u);
     EXPECT_EQ(mesh.windowsElapsed(), 1u);
@@ -75,7 +77,7 @@ TEST(IslandMesh, UtilizationAggregation)
 {
     IslandMesh mesh(2, 1, 1, 10); // a single east/west link pair
     EXPECT_EQ(mesh.totalLinks(), 2u);
-    mesh.reservePath({{0, 0}, {1, 0}}, 5);
+    mesh.reserveUpTo({{0, 0}, {1, 0}}, 5);
     mesh.advanceWindow();
     // 5 of 20 available slots used.
     EXPECT_NEAR(mesh.aggregateUtilization(), 0.25, 1e-12);
@@ -84,7 +86,8 @@ TEST(IslandMesh, UtilizationAggregation)
 TEST(IslandMesh, TrivialPathNeedsNoCapacity)
 {
     IslandMesh mesh(2, 2, 1, 1);
-    EXPECT_TRUE(mesh.reservePath({{0, 0}}, 1000));
+    EXPECT_EQ(mesh.reserveUpTo({{0, 0}}, 1000), 1000u);
+    EXPECT_EQ(mesh.reservedThisWindow(), 0u);
     EXPECT_EQ(mesh.maxReservable({{1, 1}}), ~std::uint64_t{0});
 }
 
@@ -204,8 +207,8 @@ TEST(IslandMesh, LegWalkMatchesUnitHopExpansion)
             const std::vector<IslandCoord> link{a, b};
             const std::uint64_t free = mesh.maxReservable(link);
             if (free > 0) {
-                ASSERT_TRUE(
-                    mesh.reservePath(link, 1 + rng.uniformInt(free)));
+                const std::uint64_t want = 1 + rng.uniformInt(free);
+                ASSERT_EQ(mesh.reserveUpTo(link, want), want);
             }
         }
         for (int q = 0; q < 40; ++q) {
@@ -247,19 +250,103 @@ TEST(IslandMesh, LegWalkMatchesUnitHopExpansion)
                         : 1 + rng.uniformInt(reference + 2);
                 IslandMesh by_legs = mesh;
                 IslandMesh by_hops = mesh;
-                const bool ok = by_legs.reservePath(path, pairs);
-                EXPECT_EQ(ok, pairs <= reference);
-                EXPECT_EQ(by_hops.reservePath(hops, pairs), ok);
+                const std::uint64_t got = by_legs.reserveUpTo(path, pairs);
+                EXPECT_EQ(got, std::min(pairs, reference));
+                EXPECT_EQ(by_hops.reserveUpTo(hops, pairs), got);
                 EXPECT_EQ(by_legs.reservedThisWindow(),
                           by_hops.reservedThisWindow());
                 EXPECT_EQ(usedByLink(by_legs), usedByLink(by_hops));
                 // Keep loading the mesh so later queries see
                 // fragmented capacity.
-                if (ok && rng.bernoulli(0.5))
+                if (got > 0 && rng.bernoulli(0.5))
                     mesh = by_legs;
             }
         }
     }
+}
+
+TEST(IslandMesh, ReserveUpToMatchesProbeThenReserve)
+{
+    // The fused reservation (one min-free walk, one commit walk) must
+    // book exactly what probing first and then reserving the probed
+    // amount link by link books: the amount min(want, maxReservable),
+    // every link's load, and the window and total counters.
+    Rng rng(1818);
+    for (int trial = 0; trial < 60; ++trial) {
+        const int width = 2 + static_cast<int>(rng.uniformInt(8));
+        const int height = 2 + static_cast<int>(rng.uniformInt(8));
+        IslandMesh mesh(width, height,
+                        1 + static_cast<int>(rng.uniformInt(3)),
+                        1 + rng.uniformInt(20));
+        if (trial % 3 != 0) {
+            LinkFaultConfig faults;
+            faults.linkDownRate = 0.2;
+            faults.burstRate = 0.3;
+            faults.seed = 1 + rng.uniformInt(1000);
+            mesh.setLinkFaults(faults);
+            for (std::uint64_t w = rng.uniformInt(4); w > 0; --w)
+                mesh.advanceWindow();
+        }
+        auto random_island = [&]() {
+            return IslandCoord{static_cast<int>(rng.uniformInt(width)),
+                               static_cast<int>(rng.uniformInt(height))};
+        };
+        for (int q = 0; q < 60; ++q) {
+            const IslandCoord from = random_island();
+            const IslandCoord to = random_island();
+            const int shift = 1 + static_cast<int>(rng.uniformInt(2));
+            RoutePath route;
+            switch (rng.uniformInt(4)) {
+              case 0:
+              case 1:
+                route = EprRouter::dimensionOrderedPath(
+                    from, to, rng.bernoulli(0.5));
+                break;
+              case 2:
+                if (from.x + shift >= width)
+                    continue;
+                route = EprRouter::detourPath(from, to, shift);
+                break;
+              default:
+                if (from.y - shift < 0)
+                    continue;
+                route = EprRouter::detourPathRow(from, to, -shift);
+                break;
+            }
+            const IslandPath path(route);
+            const auto hops = unitHopExpansion(path);
+            const std::uint64_t probe = mesh.maxReservable(path);
+            const std::uint64_t cap = mesh.linkCapacity();
+            const std::uint64_t want = 1 + rng.uniformInt(cap + 2);
+
+            IslandMesh reference = mesh;
+            const std::uint64_t amount = std::min(want, probe);
+            for (std::size_t i = 0; amount > 0 && i + 1 < hops.size();
+                 ++i) {
+                ASSERT_EQ(reference.reserveUpTo({hops[i], hops[i + 1]},
+                                                amount),
+                          amount);
+            }
+            const std::uint64_t got = mesh.reserveUpTo(path, want);
+            ASSERT_EQ(got, amount);
+            ASSERT_EQ(usedByLink(mesh), usedByLink(reference));
+            ASSERT_EQ(mesh.reservedThisWindow(),
+                      reference.reservedThisWindow());
+            if (rng.bernoulli(0.1)) {
+                mesh.advanceWindow();
+                reference.advanceWindow();
+                // Equal utilization over equal capacity: equal totals.
+                ASSERT_EQ(mesh.aggregateUtilization(),
+                          reference.aggregateUtilization());
+            }
+        }
+    }
+    // The commit walk re-checks capacity link by link: a path crossing
+    // one directed link twice would book it twice over, and aborts.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    IslandMesh mesh(3, 1, 1, 10);
+    EXPECT_DEATH(mesh.reserveUpTo({{0, 0}, {2, 0}, {0, 0}, {2, 0}}, 10),
+                 "overbooks");
 }
 
 TEST(Workload, GeneratesBoundedDemands)
@@ -748,8 +835,10 @@ TEST(ProgramWorkload, ToffoliInteractionSchedulesAreDeterministic)
     const ProgramWorkload program(c);
     const auto &gate = program.gates()[0];
     for (int w = 0; w < gate.durationWindows; ++w) {
-        const auto a = program.interactionsForWindow(0, w);
-        const auto b = program.interactionsForWindow(0, w);
+        const std::span<const MemberInteraction> a =
+            program.interactionsForWindow(0, w);
+        const std::span<const MemberInteraction> b =
+            program.interactionsForWindow(0, w);
         ASSERT_EQ(a.size(), b.size());
         EXPECT_EQ(a.size(), 2u);
         for (std::size_t i = 0; i < a.size(); ++i) {
@@ -768,6 +857,73 @@ TEST(ProgramWorkload, ToffoliInteractionSchedulesAreDeterministic)
                             != inter.target.isAncilla);
             }
         }
+    }
+}
+
+TEST(ProgramWorkload, InteractionViewMatchesCyclicSchedule)
+{
+    // The view of every gate kind and window equals the cyclic lowering
+    // formula it replaces: a Toffoli window w takes entries
+    // (w * count + i) mod 6 of its phase's cycle, so 7 per window wraps
+    // the 6-cycle inside one window.
+    const GateMember op0{false, 0}, op1{false, 1}, op2{false, 2};
+    auto anc = [](std::size_t slot) { return GateMember{true, slot}; };
+    const MemberInteraction prep[6] = {
+        {anc(0), anc(1)}, {anc(2), anc(3)}, {anc(4), anc(5)},
+        {anc(1), anc(2)}, {anc(3), anc(4)}, {anc(5), anc(0)},
+    };
+    const MemberInteraction finish[6] = {
+        {op0, anc(0)}, {op1, anc(2)}, {op2, anc(4)},
+        {anc(1), op0}, {anc(3), op1}, {anc(5), op2},
+    };
+    circuit::QuantumCircuit c(4, "kinds");
+    c.h(0);
+    c.cnot(0, 1);
+    c.cz(1, 2);
+    c.swapGate(2, 3);
+    c.toffoli(0, 1, 2);
+    c.measureZ(3);
+    for (const int count : {1, 2, 3, 6, 7}) {
+        ProgramConfig config;
+        config.toffoliInteractionsPerWindow = count;
+        const ProgramWorkload program(c, config);
+        for (const LogicalGate &gate : program.gates()) {
+            for (int w = 0; w < gate.durationWindows; ++w) {
+                std::vector<MemberInteraction> expected;
+                switch (gate.kind) {
+                  case circuit::OpKind::Cnot:
+                  case circuit::OpKind::Cz:
+                    expected = {{op0, op1}};
+                    break;
+                  case circuit::OpKind::Swap:
+                    expected = {{op0, op1}, {op1, op0}};
+                    break;
+                  case circuit::OpKind::Toffoli: {
+                    const auto &cycle = w < 15 ? prep : finish;
+                    for (int i = 0; i < count; ++i)
+                        expected.push_back(
+                            cycle[(static_cast<std::size_t>(w) * count
+                                   + i)
+                                  % 6]);
+                    break;
+                  }
+                  default:
+                    break;
+                }
+                const auto view =
+                    program.interactionsForWindow(gate.id, w);
+                ASSERT_EQ(view.size(), expected.size())
+                    << "count " << count << " gate " << gate.id
+                    << " window " << w;
+                for (std::size_t i = 0; i < view.size(); ++i) {
+                    EXPECT_EQ(view[i].mover, expected[i].mover)
+                        << "count " << count << " window " << w;
+                    EXPECT_EQ(view[i].target, expected[i].target)
+                        << "count " << count << " window " << w;
+                }
+            }
+        }
+        EXPECT_EQ(program.gates()[4].durationWindows, 21);
     }
 }
 

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "arq/executor.h"
 #include "circuit/builders.h"
 #include "circuit/parser.h"
@@ -129,4 +134,188 @@ TEST(Parser, ParsedTeleportationStillTeleports)
         ASSERT_TRUE(x2.has_value());
         EXPECT_FALSE(*x2);
     }
+}
+
+namespace {
+
+/** A valid circuit using every op kind and both condition forms. */
+QuantumCircuit
+everyKind()
+{
+    QuantumCircuit c(4, "every kind");
+    c.prepZ(0);
+    c.prepX(1);
+    c.h(2);
+    c.s(3);
+    c.sdg(0);
+    c.t(1);
+    c.tdg(2);
+    c.x(3);
+    c.y(0);
+    c.z(1);
+    c.cnot(0, 1);
+    c.cz(1, 2);
+    c.swapGate(2, 3);
+    c.toffoli(0, 1, 3);
+    c.measureZ(0);
+    c.measureX(1);
+    c.xIf(2, 0);
+    c.zIf(3, 1);
+    return c;
+}
+
+std::vector<std::string>
+splitLines(const std::string &text)
+{
+    std::vector<std::string> lines;
+    std::size_t start = 0;
+    while (start < text.size()) {
+        const std::size_t end = text.find('\n', start);
+        const std::size_t stop = end == std::string::npos ? text.size()
+                                                          : end;
+        lines.push_back(text.substr(start, stop - start));
+        start = stop + 1;
+    }
+    return lines;
+}
+
+std::string
+joinLines(const std::vector<std::string> &lines)
+{
+    std::string out;
+    for (const std::string &line : lines)
+        out += line + '\n';
+    return out;
+}
+
+/** One seeded mutation of @p text: a byte flip, a truncation, a
+ *  duplicated line, or a numeric token replaced by an edge case (zero,
+ *  negative, 2^64 and beyond, a repeated operand, an out-of-range
+ *  qubit, a malformed condition). */
+std::string
+mutate(const std::string &text, std::size_t num_qubits, Rng &rng)
+{
+    static const char *const kNumbers[] = {
+        "0", "-1", "-0", "+1", "18446744073709551616",
+        "18446744073709551615", "4294967296", "2147483648",
+        "99999999999999999999999", "1e3", "0x10", "01", "", "?", "m0",
+    };
+    std::string out = text;
+    if (out.empty())
+        return out;
+    switch (rng.uniformInt(5)) {
+      case 0: { // flip bytes
+        const std::uint64_t flips = 1 + rng.uniformInt(3);
+        for (std::uint64_t f = 0; f < flips && !out.empty(); ++f)
+            out[rng.uniformInt(out.size())] =
+                static_cast<char>(rng.uniformInt(256));
+        return out;
+      }
+      case 1: // truncate
+        return out.substr(0, rng.uniformInt(out.size() + 1));
+      case 2: { // duplicate a line somewhere
+        auto lines = splitLines(out);
+        const std::string copy = lines[rng.uniformInt(lines.size())];
+        lines.insert(lines.begin()
+                         + static_cast<std::ptrdiff_t>(
+                             rng.uniformInt(lines.size() + 1)),
+                     copy);
+        return joinLines(lines);
+      }
+      default: { // replace a numeric token of one line
+        auto lines = splitLines(out);
+        std::string &line = lines[rng.uniformInt(lines.size())];
+        std::vector<std::string> tokens;
+        std::istringstream in(line);
+        for (std::string token; in >> token;)
+            tokens.push_back(token);
+        if (tokens.size() < 2)
+            return joinLines(lines);
+        const std::size_t at = 1 + rng.uniformInt(tokens.size() - 1);
+        switch (rng.uniformInt(4)) {
+          case 0:
+            tokens[at] = kNumbers[rng.uniformInt(std::size(kNumbers))];
+            break;
+          case 1: // repeat another operand of the same op
+            tokens[at] = tokens[1 + rng.uniformInt(tokens.size() - 1)];
+            break;
+          case 2: // just out of range
+            tokens[at] = std::to_string(num_qubits
+                                        + rng.uniformInt(2));
+            break;
+          default: // a condition on a nonsense measurement
+            tokens.push_back("?");
+            tokens.push_back(rng.bernoulli(0.5)
+                                 ? "m99999999999999999999"
+                                 : "m-1");
+            break;
+        }
+        line.clear();
+        for (const std::string &token : tokens)
+            line += (line.empty() ? "" : " ") + token;
+        return joinLines(lines);
+      }
+    }
+}
+
+} // namespace
+
+TEST(Parser, MutationFuzzParsesOrReportsNeverAborts)
+{
+    // The parser's contract is "never throws or exits": every mutated
+    // input either parses -- and then round-trips through the printer
+    // exactly -- or is refused with an error message.
+    const std::vector<QuantumCircuit> seeds{
+        bellPair(), ghz(5), teleportation(), qft(4), everyKind()};
+    Rng rng(2718);
+    int parsed = 0;
+    int refused = 0;
+    for (int trial = 0; trial < 4000; ++trial) {
+        const QuantumCircuit &seed = seeds[rng.uniformInt(seeds.size())];
+        std::string text = serializeCircuit(seed);
+        for (std::uint64_t m = 1 + rng.uniformInt(3); m > 0; --m)
+            text = mutate(text, seed.numQubits(), rng);
+        const ParseResult result = parseCircuit(text);
+        if (!result.ok()) {
+            EXPECT_FALSE(result.error.empty()) << text;
+            ++refused;
+            continue;
+        }
+        ++parsed;
+        const std::string printed = serializeCircuit(*result.circuit);
+        const ParseResult again = parseCircuit(printed);
+        ASSERT_TRUE(again.ok()) << again.error << "\n" << printed;
+        EXPECT_EQ(serializeCircuit(*again.circuit), printed) << text;
+        EXPECT_EQ(again.circuit->toString(), result.circuit->toString())
+            << text;
+        EXPECT_EQ(again.circuit->name(), result.circuit->name()) << text;
+    }
+    // Both outcomes are exercised.
+    EXPECT_GT(parsed, 400);
+    EXPECT_GT(refused, 400);
+}
+
+TEST(Parser, ErrorRepeatedOperand)
+{
+    EXPECT_FALSE(parseCircuit("qubits 2\ncnot 1 1\n").ok());
+    EXPECT_FALSE(parseCircuit("qubits 3\ntoffoli 0 2 0\n").ok());
+}
+
+TEST(Parser, ErrorMalformedNumbers)
+{
+    EXPECT_FALSE(parseCircuit("qubits -1\n").ok());
+    EXPECT_FALSE(parseCircuit("qubits 18446744073709551616\n").ok());
+    EXPECT_FALSE(parseCircuit("qubits 2\nh -0\n").ok());
+    EXPECT_FALSE(parseCircuit("qubits 2\nh +1\n").ok());
+    EXPECT_FALSE(parseCircuit("qubits 2\nh 1x\n").ok());
+    EXPECT_FALSE(
+        parseCircuit("qubits 2\nmeasure_z 0\nx 1 ? m0x\n").ok());
+    EXPECT_FALSE(
+        parseCircuit("qubits 2\nmeasure_z 0\nx 1 ? m-0\n").ok());
+    EXPECT_FALSE(parseCircuit("qubits 2\nmeasure_z 0\n"
+                              "x 1 ? m99999999999999999999\n")
+                     .ok());
+    EXPECT_FALSE(
+        parseCircuit("qubits 2\nmeasure_z 0\nx 1 ? m0 junk\n").ok());
+    EXPECT_TRUE(parseCircuit("qubits 2\nmeasure_z 0\nx 1 ? m0\n").ok());
 }
